@@ -59,6 +59,7 @@ from .errors import (
     ParseError,
     RetryExhausted,
     Unreachable,
+    WorkerDied,
     ZeroDenominator,
 )
 from .sampling import (
@@ -99,6 +100,7 @@ __all__ = [
     "Unreachable",
     "WalkConfig",
     "WeightedDigraph",
+    "WorkerDied",
     "ZeroDenominator",
     "accepts",
     "aggregate",

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from .automata import Dfa, intersect, minimize, prefix_tree_acceptor, strip_terminal
 from .core import EventLog
 from .entropy import _growth_rate
-from .errors import EmptyData, EmptyLanguage, EmptyLog, GenbootError
+from .errors import EmptyData, EmptyLanguage, EmptyLog, GenbootError, WorkerDied
 from .sampling import SamplerConfig, sample_with_breeding, sample_with_replacement
 
 _MEASURES = ("precision", "recall", "both")
@@ -168,8 +169,15 @@ def bootstrap_generalization(
         raw = [_replicate_task(task) for task in tasks]
     else:
         chunk = max(1, spec.m // (workers * 4))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_replicate_task, tasks, chunksize=chunk))
+        try:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                raw = list(pool.map(_replicate_task, tasks, chunksize=chunk))
+        except BrokenProcessPool as exc:
+            cfg = spec.cfg
+            raise WorkerDied(
+                f"cell lsm={spec.lsm} n={cfg.n} g={cfg.g} k={cfg.k} p={cfg.p} "
+                f"m={spec.m}: a worker process died ({exc})"
+            ) from exc
 
     per_replicate = tuple(
         (rho_common / rho_model, rho_common / rho_replicate, distinct)

@@ -6,7 +6,7 @@ graph files hold ``node <name> <frequency>`` and ``edge <source> <target>
 
 Exit codes: 0 on success, 1 on usage errors, 2 when an input file cannot
 be read or parsed, 3 when a domain error occurs (empty language, failed
-convergence, and so on).
+convergence, a dead worker process, and so on).
 """
 
 from __future__ import annotations

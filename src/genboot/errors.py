@@ -66,3 +66,7 @@ class AllFiltered(GenbootError):
 
 class EmptyData(GenbootError):
     """Aggregation was asked to summarize an empty data set."""
+
+
+class WorkerDied(GenbootError):
+    """A worker process of the bootstrap pool ended before returning."""

@@ -115,7 +115,8 @@ class _BreedingEngine:
     """Shared internals of the breeding operations.
 
     Distinct traces are interned to integer ids; breeding sites and both
-    offspring of every encountered parent pair are computed once and cached.
+    offspring of every parent pair that passes the p gate are computed once
+    and cached.
     Multisets of ids stand in for logs, expanded to index arrays in
     canonical trace order when a pass needs to address occurrences.
     """
@@ -186,8 +187,8 @@ class _BreedingEngine:
         for i in range(self.iters):
             a = int(first[i])
             b = int(second[i])
-            kids = self._kids(a, b)
-            if kids and (always or gates[i] < self.p):
+            kids = self._kids(a, b) if always or gates[i] < self.p else ()
+            if kids:
                 c1, c2 = kids[int(selects[i] * len(kids))]
             else:
                 c1, c2 = a, b

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from genboot.automata import Dfa, Dfg, dfg_to_dfa, trim
-from genboot.core import INPUT_MARKER, OUTPUT_MARKER, Trace
+import os
+
+from genboot.automata import Dfa, Dfg, _renumber, _succ, dfg_to_dfa, trim
+from genboot.core import INPUT_MARKER, OUTPUT_MARKER, EventLog, Trace
 
 # candidate action names; the markers are deliberately absent
 LETTERS = tuple(c for c in "abcdefghjklmnpqrstuvwxyz")
@@ -54,6 +56,14 @@ def _closure(arcs, origin, forward: bool) -> set:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
+
+
+class WorkerKillingLog(EventLog):
+    """A log that ends, without cleanup, any process that unpickles it: a
+    pool worker receiving it dies as if crashed or killed."""
+
+    def __reduce__(self):
+        return (os._exit, (1,))
 
 
 def random_dfg(rng, max_actions: int = 12) -> Dfg:
@@ -130,3 +140,36 @@ def all_words(alphabet, max_len: int) -> list:
         frontier = [w + (x,) for w in frontier for x in alphabet]
         words.extend(frontier)
     return words
+
+
+def reference_minimize(a: Dfa) -> Dfa:
+    """Moore partition refinement over per-state signature tuples: the
+    oracle that ``minimize`` must equal on every input."""
+    a = trim(a)
+    if a.is_empty:
+        return _renumber(a)
+    letters = sorted(a.alphabet)
+    # block id per state; None acts as the implicit reject sink
+    block = {q: (q in a.accepting) for q in a.states}
+    succ = _succ(a)
+    while True:
+        signatures: dict = {}
+        for q in a.states:
+            sig = (block[q], tuple(block.get(succ[q].get(x)) for x in letters))
+            signatures.setdefault(sig, []).append(q)
+        if len(signatures) == len(set(block.values())):
+            break
+        block = {}
+        for i, sig in enumerate(sorted(signatures, key=repr)):
+            for q in signatures[sig]:
+                block[q] = i
+    transitions = {(block[q], x): block[r] for (q, x), r in a.transitions.items()}
+    merged = Dfa(
+        states=frozenset(block.values()),
+        alphabet=a.alphabet,
+        transitions=transitions,
+        start=block[a.start],
+        accepting=frozenset(block[q] for q in a.accepting),
+        o_terminated=a.o_terminated,
+    )
+    return _renumber(trim(merged))

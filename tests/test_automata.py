@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 from genboot.automata import (
@@ -20,7 +22,8 @@ from genboot.automata import (
     trim,
 )
 from genboot.core import EventLog, Trace
-from genboot.errors import EmptyLanguage
+from genboot.discovery_sim import WalkConfig, simulate_log
+from genboot.errors import EmptyLanguage, RetryExhausted
 
 
 def t(text: str) -> Trace:
@@ -170,6 +173,83 @@ class TestTrimAndMinimize:
         assert log_to_dfa(observed_log) == minimize(
             prefix_tree_acceptor(observed_log.support)
         )
+
+
+@st.composite
+def raw_dfas(draw):
+    """Untrimmed, possibly partial and cyclic DFAs, with unreachable and
+    dead states and sometimes an empty language or alphabet."""
+    count = draw(st.integers(min_value=1, max_value=9))
+    state = st.integers(min_value=0, max_value=count - 1)
+    letters = sorted(draw(st.sets(st.sampled_from("xyz"))))
+    transitions = {}
+    if letters:
+        transitions = draw(
+            st.dictionaries(st.tuples(state, st.sampled_from(letters)), state)
+        )
+    return Dfa(
+        frozenset(range(count)),
+        frozenset(letters),
+        transitions,
+        draw(state),
+        frozenset(draw(st.sets(state))),
+    )
+
+
+def relabel(a: Dfa, label) -> Dfa:
+    return Dfa(
+        frozenset(map(label, a.states)),
+        a.alphabet,
+        {(label(q), x): label(r) for (q, x), r in a.transitions.items()},
+        label(a.start),
+        frozenset(map(label, a.accepting)),
+        a.o_terminated,
+    )
+
+
+LABELS = (lambda q: q, lambda q: f"s{q}", lambda q: (q, "s"))
+
+
+class TestMinimizeOracle:
+    """``minimize`` equals the signature-tuple Moore loop of
+    ``helpers.reference_minimize`` on every input."""
+
+    @given(raw_dfas(), st.sampled_from(LABELS))
+    @settings(max_examples=300)
+    def test_random_dfas(self, a, label):
+        assert minimize(relabel(a, label)) == helpers.reference_minimize(a)
+
+    def test_graph_automata(self, model_dfa, system_dfa):
+        rng = np.random.default_rng(15)
+        automata = [model_dfa, system_dfa]
+        automata += [helpers.model_like_dfa(rng) for _ in range(20)]
+        for a in automata:
+            assert minimize(a) == helpers.reference_minimize(a)
+            assert minimize(strip_terminal(a)) == helpers.reference_minimize(
+                strip_terminal(a)
+            )
+
+    def test_prefix_trees_of_simulated_logs(self, system_dfg):
+        rng = np.random.default_rng(16)
+        graphs = [system_dfg] + [helpers.random_dfg(rng) for _ in range(6)]
+        for graph in graphs:
+            try:
+                log = simulate_log(graph, WalkConfig(trace_count=300, max_length=30), rng)
+            except RetryExhausted:
+                continue
+            pta = prefix_tree_acceptor(log.support)
+            assert minimize(pta) == helpers.reference_minimize(pta)
+
+    def test_empty_language(self):
+        a = Dfa(frozenset({0, 1}), frozenset({"x"}), {(0, "x"): 1}, 0, frozenset())
+        assert minimize(a) == helpers.reference_minimize(a)
+        assert minimize(a).is_empty
+
+    def test_only_the_empty_trace(self):
+        a = prefix_tree_acceptor([t("")])
+        assert a.alphabet == frozenset()
+        assert minimize(a) == helpers.reference_minimize(a)
+        assert helpers.enum_words(minimize(a), 3) == {()}
 
 
 class TestLiftStrip:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import helpers
 from genboot.automata import Dfg, dfg_to_dfa
 from genboot.bootstrap import (
     EstimatorSpec,
@@ -11,7 +12,7 @@ from genboot.bootstrap import (
     bootstrap_generalization,
 )
 from genboot.core import EventLog, Trace
-from genboot.errors import EmptyData, EmptyLanguage, EmptyLog
+from genboot.errors import EmptyData, EmptyLanguage, EmptyLog, WorkerDied
 from genboot.sampling import SamplerConfig
 
 
@@ -144,6 +145,12 @@ class TestBootstrapGeneralization:
         spec = EstimatorSpec(lsm="replacement", cfg=SamplerConfig(n=5), m=2)
         with pytest.raises(ValueError):
             bootstrap_generalization(model_dfa, observed_log, spec, workers=0)
+
+    def test_dead_worker_is_a_domain_error(self, model_dfa, observed_log):
+        log = helpers.WorkerKillingLog(observed_log.entries)
+        spec = EstimatorSpec(lsm="replacement", cfg=SamplerConfig(n=5, seed=1), m=4)
+        with pytest.raises(WorkerDied, match="cell lsm=replacement n=5 g=0 .* m=4"):
+            bootstrap_generalization(model_dfa, log, spec, workers=2)
 
 
 class TestLargeReplicateBehavior:

@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import helpers
+from genboot import cli
 from genboot.automata import accepts, dfg_to_dfa, log_to_dfa
 from genboot.cli import (
     bundled_path,
@@ -267,6 +269,23 @@ class TestEstimateCommand:
         assert main([*base, "--workers", "1", "--out", str(first)]) == 0
         assert main([*base, "--workers", "2", "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
+
+    def test_dead_worker_exits_3_without_traceback(self, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "read_log", lambda path: helpers.WorkerKillingLog(read_log(path).entries)
+        )
+        code = main(
+            [
+                "estimate", "--model", MODEL, "--log", LOG,
+                "--lsm", "replacement", "-n", "66", "-m", "4",
+                "--seed", "8", "--workers", "2",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("genboot: cell lsm=replacement n=66")
+        assert "a worker process died" in err
+        assert "Traceback" not in err
 
 
 class TestReproduceCommand:

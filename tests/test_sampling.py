@@ -10,6 +10,7 @@ from genboot.errors import EmptyLog, InvalidSite
 from genboot.sampling import (
     BreedingSite,
     SamplerConfig,
+    _BreedingEngine,
     breeding_sites,
     crossover,
     log_breeding,
@@ -222,6 +223,33 @@ class TestSampleWithBreeding:
         pool = log_concat(log_concat(observed_log, g1), g2)
         expected = sample_with_replacement(pool, 120, manual_rng)
         assert replicate == expected
+
+    def test_probability_zero_is_a_chain_of_plain_resamples(self, observed_log):
+        # at p=0 every pass hands its drawn parents on unbred, so the
+        # replicate equals plain resampling driven through the same draws
+        cfg = SamplerConfig(n=90, g=3, k=2, p=0.0)
+        replicate = sample_with_breeding(observed_log, 90, cfg, np.random.default_rng(13))
+
+        rng = np.random.default_rng(13)
+        iters = (observed_log.size + 1) // 2
+        cur = pool = observed_log
+        for _ in range(cfg.g):
+            first = sample_with_replacement(observed_log, iters, rng)
+            second = sample_with_replacement(cur, iters, rng)
+            rng.random(iters)  # breeding gates
+            rng.random(iters)  # site selectors
+            cur = log_concat(first, second)
+            pool = log_concat(pool, cur)
+        assert replicate == sample_with_replacement(pool, 90, rng)
+
+    def test_gated_out_pairs_are_not_bred(self, observed_log):
+        engine = _BreedingEngine(observed_log, 2, 0.0)
+        rng = np.random.default_rng(14)
+        cur = engine.base_counter
+        for _ in range(5):
+            cur = engine.breed_pass(cur, rng)
+        assert engine.kid_cache == {}
+        assert len(engine.table) == len(observed_log.support)
 
     def test_deterministic(self, observed_log):
         cfg = SamplerConfig(n=30, g=5, k=2, p=0.7)
