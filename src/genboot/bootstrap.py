@@ -6,9 +6,13 @@ replicate into its trace-language acceptor, and measures precision and
 recall of the model against that acceptor.  Replicate measures are then
 aggregated into means with 95% confidence intervals.
 
-Replicate seeds are spawned from a single master seed, so results do not
-depend on the number of worker processes: a run with ``workers=8`` is
-bit-for-bit identical to the same run with ``workers=1``.
+Replicate seeds are spawned from a single master seed.  The replicates are
+split into ``min(workers, m)`` contiguous blocks, one task each.  A task
+breeds its block in lockstep batches of at most ``_LOCKSTEP`` replicates
+(see ``sampling``) and measures each batch one replicate at a time.  A
+replicate's result depends only on its own seed, never on the block or
+batch it shares, so a run with ``workers=8`` is bit-for-bit identical to
+the same run with ``workers=1``.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .automata import Dfa, intersect, minimize, prefix_tree_acceptor, strip_term
 from .core import EventLog
 from .entropy import _growth_rate
 from .errors import EmptyData, EmptyLanguage, EmptyLog, GenbootError, WorkerDied
-from .sampling import SamplerConfig, sample_with_breeding, sample_with_replacement
+from .sampling import sample_block_with_breeding, sample_with_replacement
 
 _MEASURES = ("precision", "recall", "both")
 _SAMPLERS = ("replacement", "breeding")
@@ -101,26 +105,38 @@ def aggregate(data, method: str = "normal"):
     return mean, ci95, var
 
 
-def _replicate_task(args):
-    """Measure one replicate; runs in the calling or a worker process."""
-    index, child_seed, log, lsm, cfg, model_core = args
-    try:
-        rng = np.random.default_rng(child_seed)
-        if lsm == "replacement":
-            replicate = sample_with_replacement(log, cfg.n, rng)
+# Most replicates that one engine breeds in lockstep.  Lockstep pays where
+# replicates breed the same traces and pairs (on the bundled log, blocks of
+# two already take most of the gain), but an engine keeps every trace its
+# replicates intern, so where they share few its memory grows with the
+# batch.  A task breeds and measures its block in batches of this many.
+_LOCKSTEP = 4
+
+
+def _block_task(args):
+    """Measure a block of replicates; runs in the calling or a worker process."""
+    start, seeds, log, lsm, cfg, model_core = args
+    rows = []
+    for lo in range(0, len(seeds), _LOCKSTEP):
+        rngs = [np.random.default_rng(seed) for seed in seeds[lo : lo + _LOCKSTEP]]
+        if lsm == "breeding":
+            replicates = sample_block_with_breeding(log, cfg.n, cfg, rngs)
         else:
-            replicate = sample_with_breeding(log, cfg.n, cfg, rng)
-        support = replicate.support
-        acceptor = prefix_tree_acceptor(support)
-        product = intersect(model_core, acceptor)
-        rho_replicate, _ = _growth_rate(acceptor)
-        if product.is_empty:
-            rho_common = 0.0
-        else:
-            rho_common, _ = _growth_rate(product)
-        return rho_common, rho_replicate, len(support)
-    except GenbootError as exc:
-        raise type(exc)(f"replicate {index}: {exc}") from exc
+            replicates = (sample_with_replacement(log, cfg.n, rng) for rng in rngs)
+        for offset, replicate in enumerate(replicates, start + lo):
+            try:
+                support = replicate.support
+                acceptor = prefix_tree_acceptor(support)
+                product = intersect(model_core, acceptor)
+                rho_replicate, _ = _growth_rate(acceptor)
+                if product.is_empty:
+                    rho_common = 0.0
+                else:
+                    rho_common, _ = _growth_rate(product)
+            except GenbootError as exc:
+                raise type(exc)(f"replicate {offset}: {exc}") from exc
+            rows.append((rho_common, rho_replicate, len(support)))
+    return rows
 
 
 def bootstrap_generalization(
@@ -142,8 +158,9 @@ def bootstrap_generalization(
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; when omitted,
     ``spec.cfg.seed`` is used, and when that is also None the run is seeded
-    from OS entropy.  Replicates are independent and may be spread over
-    ``workers`` processes without changing the result.
+    from OS entropy.  Replicates are independent; split into
+    ``min(workers, spec.m)`` blocks, they may be spread over that many
+    processes without changing the result.
     """
     if log.size == 0:
         raise EmptyLog("cannot bootstrap from an empty log")
@@ -160,18 +177,19 @@ def bootstrap_generalization(
     else:
         sequence = np.random.SeedSequence(master)
     children = sequence.spawn(spec.m)
+    blocks = min(workers, spec.m)
+    bounds = [spec.m * b // blocks for b in range(blocks + 1)]
     tasks = [
-        (i, child, log, spec.lsm, spec.cfg, model_core)
-        for i, child in enumerate(children)
+        (lo, children[lo:hi], log, spec.lsm, spec.cfg, model_core)
+        for lo, hi in zip(bounds, bounds[1:])
     ]
 
-    if workers == 1:
-        raw = [_replicate_task(task) for task in tasks]
+    if len(tasks) == 1:
+        raw = _block_task(tasks[0])
     else:
-        chunk = max(1, spec.m // (workers * 4))
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                raw = list(pool.map(_replicate_task, tasks, chunksize=chunk))
+            with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+                raw = [row for rows in pool.map(_block_task, tasks) for row in rows]
         except BrokenProcessPool as exc:
             cfg = spec.cfg
             raise WorkerDied(

@@ -8,15 +8,29 @@ plausible unseen behavior from which replicates are drawn.
 All randomness flows through an explicit numpy Generator.  Each breeding
 pass consumes, in order: the first-parent indices, the second-parent
 indices, the breeding gates, and the site selectors, each as one vectorized
-draw; replicate outputs are therefore a pure function of the inputs and the
-generator state.  Multisets enumerate their traces in canonical sorted
-order wherever an index is mapped to a trace, which keeps every path
-(single pass, generational sampler, resampler) bit-for-bit consistent with
-the others.
+draw (gates and selectors are read from one draw of twice the length, which
+yields the same numbers); replicate outputs are therefore a pure function
+of the inputs and the generator state.  Multisets enumerate their traces in
+canonical sorted order wherever an index is mapped to a trace, which keeps
+every path (single pass, generational sampler, resampler) bit-for-bit
+consistent with the others.
+
+The breeding engine is int-coded: each distinct trace is interned once, as
+its action tuple, under an integer id, and crossover splices the tuples, so
+no ``Trace`` is built (nor its actions validated) until a replicate is
+drawn.  A rank array over the ids holds the canonical order; newly
+interned traces are inserted into it by bisection, and nothing is sorted by
+trace per pass.  The engine breeds a block of replicates in lockstep: each
+replicate keeps its own generator and draws exactly what it would draw
+alone, then a gather and a row sort move the whole block a generation
+forward, and each replicate's generations are pooled as sparse counts.  Ids
+reach a draw only through the canonical order, so a replicate's output does
+not depend on which replicates share its block.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,15 +103,16 @@ def breeding_sites(t1: Trace, t2: Trace, k: int) -> list[BreedingSite]:
     """
     if k < 1:
         raise ValueError(f"subtrace length must be >= 1, got {k}")
-    a1 = t1.actions
-    a2 = t2.actions
-    sites = []
-    for p1 in range(1, len(a1) - k + 2):
-        window = a1[p1 - 1 : p1 - 1 + k]
-        for p2 in range(1, len(a2) - k + 2):
-            if a2[p2 - 1 : p2 - 1 + k] == window:
-                sites.append(BreedingSite(p1, p2))
-    return sites
+    return [BreedingSite(i + 1, j + 1) for i, j in _sites(t1.actions, t2.actions, k)]
+
+
+def _sites(a1: tuple, a2: tuple, k: int) -> list[tuple[int, int]]:
+    """The 0-indexed starts of the length-``k`` windows that two action
+    tuples share, in the order of ``breeding_sites``."""
+    starts: dict[tuple, list[int]] = {}
+    for j in range(len(a2) - k + 1):
+        starts.setdefault(a2[j : j + k], []).append(j)
+    return [(i, j) for i in range(len(a1) - k + 1) for j in starts.get(a1[i : i + k], ())]
 
 
 def crossover(t1: Trace, p1: int, t2: Trace, p2: int, k: int) -> Trace:
@@ -111,14 +126,22 @@ def crossover(t1: Trace, p1: int, t2: Trace, p2: int, k: int) -> Trace:
     return prefix(t1, p1 + k - 1) + suffix(t2, p2 + k)
 
 
-class _BreedingEngine:
-    """Shared internals of the breeding operations.
+# Sorts after every pair key (first id << 32 | second id, with ids far below
+# 2**31); it ends the key array, so every lookup lands on a valid position.
+_END = np.iinfo(np.int64).max
 
-    Distinct traces are interned to integer ids; breeding sites and both
-    offspring of every parent pair that passes the p gate are computed once
-    and cached.
-    Multisets of ids stand in for logs, expanded to index arrays in
-    canonical trace order when a pass needs to address occurrences.
+
+class _BreedingEngine:
+    """Breeds replicates of one base log, int-coded and in lockstep.
+
+    ``table`` holds the interned traces as action tuples, and ``kid_cache``
+    maps every (first id, second id) pair that passed the p gate to its
+    number of breeding sites.  The offspring themselves sit in flat arrays:
+    per sorted pair key a count and an offset into ``_kid1``/``_kid2``, one
+    child pair per site, where a pair without sites is stored as its own
+    parents.  Memory grows with the traces interned and the pairs bred, and
+    a block's pooled generations hold one count per replicate and distinct
+    trace that replicate bred.
     """
 
     def __init__(self, base: EventLog, k: int, p: float):
@@ -126,51 +149,115 @@ class _BreedingEngine:
             raise EmptyLog("cannot breed from an empty log")
         self.k = k
         self.p = p
-        self.table: list[Trace] = []
-        self.index: dict[Trace, int] = {}
+        self.table: list[tuple] = []
+        self.index: dict[tuple, int] = {}
         self.base_counter = self.intern_log(base)
-        self.base_expand = self._expand(self.base_counter)
         self.iters = (base.size + 1) // 2
-        # (id1, id2) -> tuple of (child1, child2) id pairs, one per site
-        self.kid_cache: dict[tuple[int, int], tuple] = {}
+        # (id1, id2) -> number of breeding sites
+        self.kid_cache: dict[tuple[int, int], int] = {}
+        self._keys = np.array([_END], dtype=np.int64)
+        self._count = np.zeros(1, dtype=np.int64)
+        self._offset = np.zeros(1, dtype=np.int64)
+        self._kid1 = np.empty(0, dtype=np.int64)
+        self._kid2 = np.empty(0, dtype=np.int64)
+        self._by_rank = np.empty(0, dtype=np.int64)
+        self.base_expand = self._expand(self.base_counter)
 
-    def intern(self, t: Trace) -> int:
-        got = self.index.get(t)
+    def intern(self, actions: tuple) -> int:
+        got = self.index.get(actions)
         if got is None:
             got = len(self.table)
-            self.index[t] = got
-            self.table.append(t)
+            self.index[actions] = got
+            self.table.append(actions)
         return got
 
     def intern_log(self, l: EventLog) -> dict[int, int]:
-        return {self.intern(t): c for t, c in l.entries}
+        return {self.intern(t.actions): c for t, c in l.entries}
 
     def to_log(self, counter: dict[int, int]) -> EventLog:
-        return EventLog.from_counts({self.table[i]: c for i, c in counter.items()})
+        return EventLog.from_counts({Trace(self.table[i]): c for i, c in counter.items()})
 
-    def _sorted_items(self, counter: dict[int, int]) -> list[tuple[int, int]]:
-        return sorted(counter.items(), key=lambda kv: self.table[kv[0]].actions)
+    def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The canonical rank of every interned id, and the ids by rank."""
+        if self._by_rank.size < len(self.table):
+            table = self.table
+            fresh = sorted(range(self._by_rank.size, len(table)), key=table.__getitem__)
+            at = [bisect_left(self._by_rank, table[i], key=table.__getitem__) for i in fresh]
+            self._by_rank = np.insert(self._by_rank, at, fresh)
+            self._rank = np.empty_like(self._by_rank)
+            self._rank[self._by_rank] = np.arange(self._by_rank.size)
+        return self._rank, self._by_rank
 
     def _expand(self, counter: dict[int, int]) -> np.ndarray:
-        items = self._sorted_items(counter)
-        ids = np.array([i for i, _ in items], dtype=np.int64)
-        counts = np.array([c for _, c in items], dtype=np.int64)
-        return np.repeat(ids, counts)
+        """The occurrences of an id multiset, in canonical trace order."""
+        rank, _ = self._ranks()
+        ids = np.fromiter(counter, dtype=np.int64, count=len(counter))
+        ids = ids[np.argsort(rank[ids])]
+        return np.repeat(ids, [counter[i] for i in ids.tolist()])
 
-    def _kids(self, a: int, b: int) -> tuple:
-        key = (a, b)
-        cached = self.kid_cache.get(key)
-        if cached is None:
-            t1 = self.table[a]
-            t2 = self.table[b]
-            pairs = []
-            for site in breeding_sites(t1, t2, self.k):
-                c1 = self.intern(crossover(t1, site.p1, t2, site.p2, self.k))
-                c2 = self.intern(crossover(t2, site.p2, t1, site.p1, self.k))
-                pairs.append((c1, c2))
-            cached = tuple(pairs)
-            self.kid_cache[key] = cached
-        return cached
+    def _offspring(self, a: int, b: int) -> tuple:
+        t1, t2, k = self.table[a], self.table[b], self.k
+        return tuple(
+            (self.intern(t1[: i + k] + t2[j + k :]), self.intern(t2[: j + k] + t1[i + k :]))
+            for i, j in _sites(t1, t2, k)
+        )
+
+    def _add_pairs(self, keys: np.ndarray) -> None:
+        """Breed each (sorted, new) pair key and merge it into the table."""
+        counts, kid1, kid2 = [], [], []
+        for key in keys.tolist():
+            a, b = key >> 32, key & 0xFFFFFFFF
+            kids = self._offspring(a, b)
+            self.kid_cache[(a, b)] = len(kids)
+            pairs = kids or ((a, b),)
+            counts.append(len(pairs))
+            kid1.extend(c1 for c1, _ in pairs)
+            kid2.extend(c2 for _, c2 in pairs)
+        offsets = self._kid1.size + np.cumsum(counts) - counts
+        at = np.searchsorted(self._keys, keys)
+        self._keys = np.insert(self._keys, at, keys)
+        self._count = np.insert(self._count, at, counts)
+        self._offset = np.insert(self._offset, at, offsets)
+        self._kid1 = np.concatenate((self._kid1, np.array(kid1, dtype=np.int64)))
+        self._kid2 = np.concatenate((self._kid2, np.array(kid2, dtype=np.int64)))
+
+    def _lookup(self, keys: np.ndarray) -> np.ndarray:
+        """Positions of pair keys in the table, breeding the missing pairs."""
+        pos = np.searchsorted(self._keys, keys)
+        missing = self._keys[pos] != keys
+        if missing.any():
+            self._add_pairs(np.unique(keys[missing]))
+            pos = np.searchsorted(self._keys, keys)
+        return pos
+
+    def _generation(self, cur: np.ndarray, rngs) -> np.ndarray:
+        """One breeding pass of every replicate in the block.
+
+        Row r of ``cur`` is the canonical expansion of replicate r's current
+        generation, bred against the base log with ``rngs[r]``.  Returns the
+        offspring as ``kids[0, r]`` and ``kids[1, r]``: the first and the
+        second child of each of replicate r's pairs.
+        """
+        iters = self.iters
+        kids = np.empty((2, len(rngs), iters), dtype=np.int64)
+        uniform = np.empty((len(rngs), 2, iters))
+        for r, rng in enumerate(rngs):
+            kids[0, r] = rng.integers(0, self.base_expand.size, iters)
+            kids[1, r] = rng.integers(0, cur.shape[1], iters)
+            rng.random(out=uniform[r])  # the gates, then the site selectors
+        kids[0] = self.base_expand[kids[0]]
+        kids[1] = cur[np.arange(len(rngs))[:, None], kids[1]]
+        first, second = kids.reshape(2, -1)
+        selects = uniform[:, 1].ravel()
+        if self.p >= 1.0:
+            bred = slice(None)
+        else:
+            bred = np.flatnonzero(uniform[:, 0].ravel() < self.p)
+        pos = self._lookup((first[bred] << 32) | second[bred])
+        site = self._offset[pos] + (selects[bred] * self._count[pos]).astype(np.int64)
+        first[bred] = self._kid1[site]
+        second[bred] = self._kid2[site]
+        return kids
 
     def breed_pass(self, cur: dict[int, int], rng: np.random.Generator) -> dict[int, int]:
         """One breeding pass: first parents from the base log, second parents
@@ -178,34 +265,70 @@ class _BreedingEngine:
         cur_expand = self._expand(cur)
         if cur_expand.size == 0:
             raise EmptyLog("cannot breed against an empty log")
-        first = self.base_expand[rng.integers(0, self.base_expand.size, self.iters)]
-        second = cur_expand[rng.integers(0, cur_expand.size, self.iters)]
-        gates = rng.random(self.iters)
-        selects = rng.random(self.iters)
-        always = self.p >= 1.0
-        nxt: dict[int, int] = {}
-        for i in range(self.iters):
-            a = int(first[i])
-            b = int(second[i])
-            kids = self._kids(a, b) if always or gates[i] < self.p else ()
-            if kids:
-                c1, c2 = kids[int(selects[i] * len(kids))]
-            else:
-                c1, c2 = a, b
-            nxt[c1] = nxt.get(c1, 0) + 1
-            nxt[c2] = nxt.get(c2, 0) + 1
-        return nxt
+        ids, counts = np.unique(self._generation(cur_expand[None, :], [rng]), return_counts=True)
+        return dict(zip(ids.tolist(), counts.tolist()))
 
-    def draw(self, counter: dict[int, int], n: int, rng: np.random.Generator) -> EventLog:
-        """Sample ``n`` occurrences with replacement from an id multiset."""
-        items = self._sorted_items(counter)
-        cum = np.cumsum([c for _, c in items])
+    def sample(self, n: int, g: int, rngs) -> list[EventLog]:
+        """One replicate per generator: ``g`` generations bred in lockstep,
+        pooled with the base log, then ``n`` traces drawn with replacement.
+
+        The pool is sparse: sorted keys (replicate << 32 | id) with counts,
+        into which the generations bred since the last merge are merged once
+        they outnumber the keys, so that each merge's sort is paid for by as
+        many bred keys as it sorts."""
+        rows = np.arange(len(rngs), dtype=np.int64)[:, None] << 32
+        base = np.fromiter(self.base_counter, dtype=np.int64, count=len(self.base_counter))
+        keys = (rows + base).ravel()
+        counts = np.tile(np.array(list(self.base_counter.values()), dtype=np.int64), len(rngs))
+        fresh: list[np.ndarray] = []
+        held = 0
+        cur = np.tile(self.base_expand, (len(rngs), 1))
+        for _ in range(g):
+            kids = self._generation(cur, rngs)
+            fresh.append((kids + rows).ravel())
+            held += fresh[-1].size
+            if held >= max(keys.size, _MERGE):
+                keys, counts = _pooled(keys, counts, fresh)
+                fresh, held = [], 0
+            rank, by_rank = self._ranks()
+            ranks = rank[kids.transpose(1, 0, 2)].reshape(len(rngs), -1)
+            cur = by_rank[np.sort(ranks, axis=1)]
+        keys, counts = _pooled(keys, counts, fresh)
+        bounds = np.searchsorted(keys, np.arange(len(rngs) + 1, dtype=np.int64) << 32)
+        return [
+            self._draw(keys[lo:hi] & 0xFFFFFFFF, counts[lo:hi], n, rng)
+            for lo, hi, rng in zip(bounds, bounds[1:], rngs)
+        ]
+
+    def _draw(
+        self, ids: np.ndarray, counts: np.ndarray, n: int, rng: np.random.Generator
+    ) -> EventLog:
+        """Sample ``n`` occurrences with replacement from counts over ids."""
+        rank, _ = self._ranks()
+        order = np.argsort(rank[ids])
+        ids = ids[order]
+        cum = np.cumsum(counts[order])
         draws = rng.integers(0, int(cum[-1]), n)
-        entry_idx = np.searchsorted(cum, draws, side="right")
-        counts = np.bincount(entry_idx, minlength=len(items))
+        hits = np.bincount(np.searchsorted(cum, draws, side="right"), minlength=ids.size)
         return EventLog.from_counts(
-            {self.table[items[j][0]]: int(c) for j, c in enumerate(counts) if c}
+            {Trace(self.table[i]): c for i, c in zip(ids.tolist(), hits.tolist()) if c}
         )
+
+
+# Fewest bred keys that are merged into a block's pool at once.  Each merge
+# sorts the pool, so merging every generation would cost more than breeding.
+_MERGE = 1 << 12
+
+
+def _pooled(keys: np.ndarray, counts: np.ndarray, fresh: list[np.ndarray]):
+    """Distinct keys, sorted, with their counts: those of ``keys`` plus one
+    per occurrence in the ``fresh`` arrays."""
+    keys = np.concatenate([keys, *fresh])
+    counts = np.concatenate([counts, np.ones(keys.size - counts.size, dtype=np.int64)])
+    order = np.argsort(keys)
+    keys, counts = keys[order], counts[order]
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[first], np.add.reduceat(counts, first)
 
 
 def log_breeding(
@@ -235,13 +358,14 @@ def sample_with_breeding(
     cfg.k and cfg.p).  The replicate is a with-replacement sample from the
     multiset union of all generations.
     """
+    return sample_block_with_breeding(l, n, cfg, [rng])[0]
+
+
+def sample_block_with_breeding(
+    l: EventLog, n: int, cfg: SamplerConfig, rngs: list[np.random.Generator]
+) -> list[EventLog]:
+    """One ``sample_with_breeding`` replicate per generator, bred in
+    lockstep; replicate r equals ``sample_with_breeding(l, n, cfg, rngs[r])``."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    engine = _BreedingEngine(l, cfg.k, cfg.p)
-    cur = dict(engine.base_counter)
-    union = dict(engine.base_counter)
-    for _ in range(cfg.g):
-        cur = engine.breed_pass(cur, rng)
-        for i, c in cur.items():
-            union[i] = union.get(i, 0) + c
-    return engine.draw(union, n, rng)
+    return _BreedingEngine(l, cfg.k, cfg.p).sample(n, cfg.g, rngs)

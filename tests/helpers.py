@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
+
 from genboot.automata import Dfa, Dfg, _renumber, _succ, dfg_to_dfa, trim
 from genboot.core import INPUT_MARKER, OUTPUT_MARKER, EventLog, Trace
+from genboot.sampling import breeding_sites, crossover
 
 # candidate action names; the markers are deliberately absent
 LETTERS = tuple(c for c in "abcdefghjklmnpqrstuvwxyz")
@@ -173,3 +176,76 @@ def reference_minimize(a: Dfa) -> Dfa:
         o_terminated=a.o_terminated,
     )
     return _renumber(trim(merged))
+
+
+def reference_sample_with_breeding(l: EventLog, n: int, cfg, rng) -> EventLog:
+    """One replicate bred pair by pair over dicts of interned ``Trace``s: the
+    oracle that ``sample_with_breeding`` and every replicate of a lockstep
+    block must equal, draw for draw.
+
+    Each pass draws the first-parent indices, the second-parent indices,
+    the breeding gates and the site selectors, mapping indices to traces in
+    canonical (sorted) order; offspring are cached per parent pair, and only
+    for pairs that pass the gate.
+    """
+    table: list = []
+    index: dict = {}
+
+    def intern(t):
+        got = index.get(t)
+        if got is None:
+            got = index[t] = len(table)
+            table.append(t)
+        return got
+
+    def sorted_items(counter):
+        return sorted(counter.items(), key=lambda kv: table[kv[0]].actions)
+
+    def expand(counter):
+        items = sorted_items(counter)
+        return np.repeat(
+            np.array([i for i, _ in items], dtype=np.int64),
+            np.array([c for _, c in items], dtype=np.int64),
+        )
+
+    kid_cache: dict = {}
+
+    def kids(a, b):
+        if (a, b) not in kid_cache:
+            t1, t2 = table[a], table[b]
+            kid_cache[(a, b)] = tuple(
+                (
+                    intern(crossover(t1, s.p1, t2, s.p2, cfg.k)),
+                    intern(crossover(t2, s.p2, t1, s.p1, cfg.k)),
+                )
+                for s in breeding_sites(t1, t2, cfg.k)
+            )
+        return kid_cache[(a, b)]
+
+    base = {intern(t): c for t, c in l.entries}
+    base_expand = expand(base)
+    iters = (l.size + 1) // 2
+    cur = dict(base)
+    union = dict(base)
+    for _ in range(cfg.g):
+        cur_expand = expand(cur)
+        first = base_expand[rng.integers(0, base_expand.size, iters)]
+        second = cur_expand[rng.integers(0, cur_expand.size, iters)]
+        gates = rng.random(iters)
+        selects = rng.random(iters)
+        cur = {}
+        for i in range(iters):
+            a, b = int(first[i]), int(second[i])
+            bred = kids(a, b) if cfg.p >= 1.0 or gates[i] < cfg.p else ()
+            c1, c2 = bred[int(selects[i] * len(bred))] if bred else (a, b)
+            cur[c1] = cur.get(c1, 0) + 1
+            cur[c2] = cur.get(c2, 0) + 1
+        for i, c in cur.items():
+            union[i] = union.get(i, 0) + c
+    items = sorted_items(union)
+    cum = np.cumsum([c for _, c in items])
+    draws = rng.integers(0, int(cum[-1]), n)
+    counts = np.bincount(np.searchsorted(cum, draws, side="right"), minlength=len(items))
+    return EventLog.from_counts(
+        {table[items[j][0]]: int(c) for j, c in enumerate(counts) if c}
+    )

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import helpers
+from genboot import bootstrap
 from genboot.automata import Dfg, dfg_to_dfa
 from genboot.bootstrap import (
     EstimatorSpec,
@@ -12,7 +13,7 @@ from genboot.bootstrap import (
     bootstrap_generalization,
 )
 from genboot.core import EventLog, Trace
-from genboot.errors import EmptyData, EmptyLanguage, EmptyLog, WorkerDied
+from genboot.errors import EmptyData, EmptyLanguage, EmptyLog, NoConvergence, WorkerDied
 from genboot.sampling import SamplerConfig
 
 
@@ -102,6 +103,33 @@ class TestBootstrapGeneralization:
             model_dfa, observed_log, spec, seed=123, workers=2
         )
         assert serial == parallel
+
+    @pytest.mark.parametrize("lsm", ["replacement", "breeding"])
+    def test_block_split_does_not_change_the_result(self, model_dfa, observed_log, lsm):
+        # uneven blocks, and more workers than replicates
+        spec = EstimatorSpec(lsm=lsm, cfg=SamplerConfig(n=50, g=5, k=2, p=0.7), m=5)
+        serial = bootstrap_generalization(model_dfa, observed_log, spec, seed=31)
+        for workers in (2, 3, 7):
+            split = bootstrap_generalization(
+                model_dfa, observed_log, spec, seed=31, workers=workers
+            )
+            assert split == serial
+
+    def test_a_failing_replicate_is_named(self, model_dfa, observed_log, monkeypatch):
+        # the sixth replicate fails, in the second lockstep batch of its block
+        real = bootstrap.prefix_tree_acceptor
+        calls = []
+
+        def failing(support):
+            calls.append(support)
+            if len(calls) == 6:
+                raise NoConvergence("no convergence")
+            return real(support)
+
+        monkeypatch.setattr(bootstrap, "prefix_tree_acceptor", failing)
+        spec = EstimatorSpec(lsm="breeding", cfg=SamplerConfig(n=50, g=5, k=2, p=0.7), m=7)
+        with pytest.raises(NoConvergence, match="^replicate 5: no convergence$"):
+            bootstrap_generalization(model_dfa, observed_log, spec, seed=31)
 
     def test_aggregates_recompute_from_per_replicate(self, model_dfa, observed_log):
         spec = EstimatorSpec(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from genboot.core import EventLog, Trace, log_concat, subtrace
 from genboot.errors import EmptyLog, InvalidSite
 from genboot.sampling import (
@@ -15,6 +16,7 @@ from genboot.sampling import (
     crossover,
     log_breeding,
     rand_trace,
+    sample_block_with_breeding,
     sample_with_breeding,
     sample_with_replacement,
 )
@@ -25,6 +27,15 @@ traces = st.lists(actions, min_size=1, max_size=8).map(lambda xs: Trace(tuple(xs
 
 def t(text: str) -> Trace:
     return Trace(tuple(text))
+
+
+@st.composite
+def small_logs(draw):
+    """Logs over 3 or 4 actions of up to 6 distinct traces, each of length 0-8."""
+    alphabet = draw(st.sampled_from(("abc", "abcd")))
+    words = st.lists(st.sampled_from(alphabet), max_size=8).map(lambda xs: Trace(tuple(xs)))
+    counts = draw(st.dictionaries(words, st.integers(1, 4), min_size=1, max_size=6))
+    return EventLog.from_counts(counts)
 
 
 class TestSamplerConfig:
@@ -185,6 +196,22 @@ class TestLogBreeding:
         with pytest.raises(EmptyLog):
             log_breeding(observed_log, EventLog(()), 1, 1.0, np.random.default_rng(0))
 
+    def test_stream_is_pinned(self, observed_log):
+        # the determinism contract: a seed fixes the pass's output, so any
+        # change to the draw order or the canonical order fails here
+        bred = log_breeding(observed_log, observed_log, 2, 0.7, np.random.default_rng(2024))
+        assert [("".join(trace), c) for trace, c in bred.entries] == [
+            ("abbbcf", 2),
+            ("abcf", 21),
+            ("abcfadef", 8),
+            ("addeef", 1),
+            ("adeef", 6),
+            ("adef", 18),
+            ("adefabbbcf", 2),
+            ("adefabcf", 6),
+            ("adefabcfadef", 2),
+        ]
+
     def test_creates_new_traces(self, observed_log):
         # crossover of the observed traces at k=2 can leave the support
         rng = np.random.default_rng(7)
@@ -251,6 +278,23 @@ class TestSampleWithBreeding:
         assert engine.kid_cache == {}
         assert len(engine.table) == len(observed_log.support)
 
+    def test_stream_is_pinned(self, observed_log):
+        # the determinism contract: a seed fixes the replicate, so any
+        # change to the draw order or the canonical order fails here
+        cfg = SamplerConfig(n=40, g=25, k=2, p=0.7)
+        replicate = sample_with_breeding(observed_log, 40, cfg, np.random.default_rng(2024))
+        assert [("".join(trace), c) for trace, c in replicate.entries] == [
+            ("abbbcf", 2),
+            ("abcf", 12),
+            ("abcfadef", 1),
+            ("abcfadefabcfadef", 1),
+            ("adeef", 8),
+            ("adef", 8),
+            ("adefabcf", 3),
+            ("adefabcfabcfadef", 1),
+            ("adefabcfadef", 4),
+        ]
+
     def test_deterministic(self, observed_log):
         cfg = SamplerConfig(n=30, g=5, k=2, p=0.7)
         a = sample_with_breeding(observed_log, 30, cfg, np.random.default_rng(11))
@@ -270,3 +314,43 @@ class TestSampleWithBreeding:
         cfg = SamplerConfig(n=5, g=1)
         with pytest.raises(EmptyLog):
             sample_with_breeding(EventLog(()), 5, cfg, np.random.default_rng(0))
+
+
+class TestLockstepBlocks:
+    @given(
+        small_logs(),
+        st.sampled_from((1, 2, 3)),
+        st.sampled_from((0.0, 0.3, 1.0)),
+        st.integers(0, 15),
+        st.integers(1, 4),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_block_replicates_match_the_oracle_and_lone_runs(self, log, k, p, g, size, seed):
+        cfg = SamplerConfig(n=20, g=g, k=k, p=p)
+        seeds = np.random.SeedSequence(seed).spawn(size)
+        block = sample_block_with_breeding(log, 20, cfg, [np.random.default_rng(s) for s in seeds])
+        assert len(block) == size
+        for child, replicate in zip(seeds, block):
+            oracle = helpers.reference_sample_with_breeding(
+                log, 20, cfg, np.random.default_rng(child)
+            )
+            assert replicate == oracle
+            assert replicate == sample_with_breeding(log, 20, cfg, np.random.default_rng(child))
+
+    def test_block_matches_the_oracle_on_the_bundled_log(self, observed_log):
+        cfg = SamplerConfig(n=300, g=200, k=2, p=0.5)
+        seeds = np.random.SeedSequence(3).spawn(3)
+        block = sample_block_with_breeding(
+            observed_log, 300, cfg, [np.random.default_rng(s) for s in seeds]
+        )
+        assert block == [
+            helpers.reference_sample_with_breeding(observed_log, 300, cfg, np.random.default_rng(s))
+            for s in seeds
+        ]
+
+    def test_sample_size_must_be_positive(self, observed_log):
+        with pytest.raises(ValueError):
+            sample_block_with_breeding(
+                observed_log, 0, SamplerConfig(n=5), [np.random.default_rng(0)]
+            )
