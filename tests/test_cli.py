@@ -314,6 +314,57 @@ class TestReproduceCommand:
         assert code == 0
 
 
+class TestPinnedOutputs:
+    """The printed figures of the bundled example, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (
+                ["measure", "--model", MODEL, "--system", SYSTEM],
+                "precision 0.867311\nrecall 0.867311\n",
+            ),
+            (
+                ["measure", "--model", MODEL, "--log", LOG],
+                "precision 0.790712\nrecall 0.934912\n",
+            ),
+            (
+                ["measure", "--model", SYSTEM, "--log", LOG],
+                "precision 0.783544\nrecall 0.926437\n",
+            ),
+            (["entropy", "--dfg", MODEL], "entropy 0.453095\n"),
+            (["entropy", "--dfg", SYSTEM], "entropy 0.453095\n"),
+            (["entropy", "--log", LOG], "entropy 0.285576\n"),
+            (
+                [
+                    "estimate", "--model", MODEL, "--log", LOG, "--lsm", "breeding",
+                    "-n", "40", "-g", "5", "-k", "2", "-p", "0.5", "-m", "4",
+                    "--seed", "3", "--harmonic",
+                ],
+                "measure\tmean\tci95\tvariance\treplicates\n"
+                "precision\t0.804164\t0.008846\t0.000081\t4\n"
+                "recall\t0.961459\t0.017770\t0.000329\t4\n"
+                "harmonic_mean\t0.875794\t0.012580\t0.000165\t4\n"
+                "distinct_traces\t6.500000\t0.565803\t0.333333\t4\n",
+            ),
+            (
+                [
+                    "estimate", "--model", MODEL, "--log", LOG, "--lsm", "breeding",
+                    "-n", "100", "-g", "30", "-k", "1", "-m", "6", "--seed", "5",
+                    "--measure", "precision", "--ci", "percentile", "--harmonic",
+                ],
+                "measure\tmean\tci95\tvariance\treplicates\n"
+                "precision\t0.850575\t0.013493\t0.000097\t6\n"
+                "harmonic_mean\t0.898509\t0.008418\t0.000042\t6\n"
+                "distinct_traces\t13.666667\t2.375000\t3.866667\t6\n",
+            ),
+        ],
+    )
+    def test_output_bytes(self, capsys, argv, expected):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+
 class TestUsage:
     def test_no_arguments_prints_help(self, capsys):
         assert main([]) == 1
