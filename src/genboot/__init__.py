@@ -14,12 +14,10 @@ from .automata import (
     dfg_to_dfa,
     intersect,
     is_stable,
-    lift_terminal,
     log_to_dfa,
     minimize,
     prefix_tree_acceptor,
     short_circuit,
-    strip_terminal,
     trim,
 )
 from .bootstrap import (
@@ -113,7 +111,6 @@ __all__ = [
     "growth_oracle",
     "intersect",
     "is_stable",
-    "lift_terminal",
     "log_breeding",
     "log_concat",
     "log_to_dfa",

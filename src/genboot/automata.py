@@ -4,15 +4,8 @@ A DFG is a graph over actions with distinguished input/output markers whose
 walks from input to output define a trace language.  Every DFG induces a
 deterministic finite automaton; logs induce automata through a prefix-tree
 acceptor.  Product intersection and the short-circuit transformation feed
-the entropy measures.
-
-Two word conventions coexist.  A DFG-derived automaton works over words that
-end with the output marker ``o``; its ``o_terminated`` flag records that, and
-``accepts`` appends the terminal ``o``-step so system-level traces can be
-tested directly.  Automata built from logs are plain acceptors of the traces
-themselves.  ``intersect`` reconciles the two by lifting a plain acceptor to
-the o-terminated convention when needed, and the entropy module strips the
-marker before measuring so both conventions describe the same trace language.
+the entropy measures.  Every automaton accepts plain traces: words of
+actions, with no marker letters.
 """
 
 from __future__ import annotations
@@ -83,7 +76,6 @@ class Dfa:
     transitions: dict  # (state, letter) -> state
     start: object
     accepting: frozenset
-    o_terminated: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "states", frozenset(self.states))
@@ -130,38 +122,27 @@ def _reachable(a: Dfa) -> set:
 
 
 def dfg_to_dfa(g: Dfg) -> Dfa:
-    """The automaton of a DFG.
+    """The trace acceptor of a DFG.
 
-    States are the actions plus both markers; each arc (s, t) becomes a
-    transition from s labelled t; the only accepting state is the output
-    marker.  Accepted words are o-terminated, so the result carries
-    ``o_terminated=True``.
+    States are the actions plus the input marker, which is the start; each
+    arc (s, t) into an action becomes a transition from s labelled t, and
+    the sources of arcs into the output marker accept.  The accepted words
+    are the action sequences of the graph's input-to-output walks.
     """
-    states = g.actions | {INPUT_MARKER, OUTPUT_MARKER}
-    alphabet = g.actions | {OUTPUT_MARKER}
-    transitions = {(s, t): t for s, t in g.arcs}
     return Dfa(
-        states=frozenset(states),
-        alphabet=frozenset(alphabet),
-        transitions=transitions,
+        states=g.actions | {INPUT_MARKER},
+        alphabet=g.actions,
+        transitions={(s, t): t for s, t in g.arcs if t != OUTPUT_MARKER},
         start=INPUT_MARKER,
-        accepting=frozenset({OUTPUT_MARKER}),
-        o_terminated=True,
+        accepting=frozenset(s for s, t in g.arcs if t == OUTPUT_MARKER),
     )
 
 
 def accepts(a: Dfa, t: Trace) -> bool:
-    """Whether the automaton accepts the trace.
-
-    For o-terminated automata the terminal marker step is appended
-    internally, so callers always pass plain traces.  Unknown actions
-    reject rather than raise.
-    """
-    word = tuple(t.actions)
-    if a.o_terminated:
-        word = word + (OUTPUT_MARKER,)
+    """Whether the automaton accepts the trace; unknown actions reject
+    rather than raise."""
     q = a.start
-    for x in word:
+    for x in t.actions:
         q = a.transitions.get((q, x))
         if q is None:
             return False
@@ -200,7 +181,6 @@ def trim(a: Dfa) -> Dfa:
             transitions={},
             start=a.start,
             accepting=frozenset(),
-            o_terminated=a.o_terminated,
         )
     transitions = {
         (q, x): r for (q, x), r in a.transitions.items() if q in keep and r in keep
@@ -211,13 +191,13 @@ def trim(a: Dfa) -> Dfa:
         transitions=transitions,
         start=a.start,
         accepting=frozenset(q for q in a.accepting if q in keep),
-        o_terminated=a.o_terminated,
     )
 
 
 def _renumber(a: Dfa) -> Dfa:
-    """Relabel states as integers in breadth-first order (sorted letters),
-    so structurally equal automata get identical representations."""
+    """Relabel the states of a trimmed automaton as integers in
+    breadth-first order (sorted letters), so structurally equal automata
+    get identical representations."""
     order = {a.start: 0}
     queue = [a.start]
     succ = _succ(a)
@@ -228,9 +208,6 @@ def _renumber(a: Dfa) -> Dfa:
             if r not in order:
                 order[r] = len(order)
                 queue.append(r)
-    # trim-ness guarantees every state is reachable; guard anyway
-    for q in sorted(a.states - set(order), key=repr):
-        order[q] = len(order)
     transitions = {(order[q], x): order[r] for (q, x), r in a.transitions.items()}
     return Dfa(
         states=frozenset(order.values()),
@@ -238,7 +215,6 @@ def _renumber(a: Dfa) -> Dfa:
         transitions=transitions,
         start=0,
         accepting=frozenset(order[q] for q in a.accepting),
-        o_terminated=a.o_terminated,
     )
 
 
@@ -295,7 +271,6 @@ def minimize(a: Dfa) -> Dfa:
         transitions=transitions,
         start=block_of[a.start],
         accepting=frozenset(block_of[q] for q in a.accepting),
-        o_terminated=a.o_terminated,
     )
     return _renumber(trim(merged))
 
@@ -326,70 +301,21 @@ def prefix_tree_acceptor(traces: Iterable[Trace]) -> Dfa:
     )
 
 
-def log_to_dfa(l: EventLog, o_terminated: bool = False) -> Dfa:
-    """A minimal DFA accepting exactly the distinct traces of the log.
-
-    Multiplicities are discarded.  With ``o_terminated=True`` the automaton
-    is built over marker-terminated words instead, for direct products with
-    DFG-derived automata.
-    """
-    dfa = minimize(prefix_tree_acceptor(l.support))
-    if o_terminated:
-        dfa = lift_terminal(dfa)
-    return dfa
-
-
-def lift_terminal(a: Dfa) -> Dfa:
-    """Convert a plain acceptor of traces into the equivalent acceptor of
-    o-terminated words."""
-    if a.o_terminated:
-        return a
-    sink = "end"
-    while sink in a.states:
-        sink = sink + "_"
-    transitions = dict(a.transitions)
-    for q in a.accepting:
-        transitions[(q, OUTPUT_MARKER)] = sink
-    return Dfa(
-        states=a.states | {sink},
-        alphabet=a.alphabet | {OUTPUT_MARKER},
-        transitions=transitions,
-        start=a.start,
-        accepting=frozenset({sink}),
-        o_terminated=True,
-    )
+def log_to_dfa(l: EventLog) -> Dfa:
+    """A minimal DFA accepting exactly the distinct traces of the log;
+    multiplicities are discarded."""
+    return minimize(prefix_tree_acceptor(l.support))
 
 
 def strip_terminal(a: Dfa) -> Dfa:
-    """Convert an o-terminated automaton into the plain acceptor of the same
-    traces: states with a marker transition into the old accepting set become
-    accepting, marker transitions disappear, and the result is trimmed."""
-    if not a.o_terminated:
-        return a
-    accepting = {q for (q, x), r in a.transitions.items()
-                 if x == OUTPUT_MARKER and r in a.accepting}
-    transitions = {(q, x): r for (q, x), r in a.transitions.items()
-                   if x != OUTPUT_MARKER}
-    return trim(
-        Dfa(
-            states=a.states,
-            alphabet=a.alphabet - {OUTPUT_MARKER},
-            transitions=transitions,
-            start=a.start,
-            accepting=frozenset(accepting),
-        )
-    )
+    """Return ``a``: every automaton is already a plain trace acceptor.  Kept
+    only because the benchmark's traced replay still calls it."""
+    return a
 
 
 def intersect(a: Dfa, b: Dfa) -> Dfa:
-    """Product automaton whose language is the intersection of both inputs.
-
-    When exactly one operand is o-terminated, the other is lifted to the
-    same convention first.  The result is trimmed.
-    """
-    if a.o_terminated != b.o_terminated:
-        a = lift_terminal(a)
-        b = lift_terminal(b)
+    """Trimmed product automaton whose language is the intersection of both
+    inputs."""
     asucc = _succ(a)
     bsucc = _succ(b)
     start = (a.start, b.start)
@@ -415,7 +341,6 @@ def intersect(a: Dfa, b: Dfa) -> Dfa:
         transitions=transitions,
         start=start,
         accepting=accepting,
-        o_terminated=a.o_terminated,
     )
     return trim(product)
 

@@ -24,13 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import Dfa, intersect, minimize, prefix_tree_acceptor, strip_terminal
+from .automata import Dfa, minimize, prefix_tree_acceptor
 from .core import EventLog
-from .entropy import _growth_rate
+from .entropy import model_system_measures
 from .errors import EmptyData, EmptyLanguage, EmptyLog, GenbootError, WorkerDied
 from .sampling import sample_block_with_breeding, sample_with_replacement
 
-_MEASURES = ("precision", "recall", "both")
 _SAMPLERS = ("replacement", "breeding")
 
 
@@ -41,21 +40,16 @@ class EstimatorSpec:
     ``lsm`` picks the log sampling method: ``"replacement"`` draws each
     replicate trace independently from the observed log, ``"breeding"``
     first grows a pool of crossover offspring (see ``sample_with_breeding``)
-    and draws from that.  ``measure`` only restricts which rows a report
-    shows; both measures are always computed, since they share all of the
-    expensive work.
+    and draws from that.
     """
 
     lsm: str
     cfg: SamplerConfig
     m: int
-    measure: str = "both"
 
     def __post_init__(self):
         if self.lsm not in _SAMPLERS:
             raise ValueError(f"unknown log sampling method {self.lsm!r}")
-        if self.measure not in _MEASURES:
-            raise ValueError(f"unknown measure {self.measure!r}")
         if self.m < 1:
             raise ValueError("m must be at least 1")
 
@@ -124,18 +118,14 @@ def _block_task(args):
         else:
             replicates = (sample_with_replacement(log, cfg.n, rng) for rng in rngs)
         for offset, replicate in enumerate(replicates, start + lo):
+            support = replicate.support
             try:
-                support = replicate.support
-                acceptor = prefix_tree_acceptor(support)
-                product = intersect(model_core, acceptor)
-                rho_replicate, _ = _growth_rate(acceptor)
-                if product.is_empty:
-                    rho_common = 0.0
-                else:
-                    rho_common, _ = _growth_rate(product)
+                precision, recall = model_system_measures(
+                    model_core, prefix_tree_acceptor(support)
+                )
             except GenbootError as exc:
                 raise type(exc)(f"replicate {offset}: {exc}") from exc
-            rows.append((rho_common, rho_replicate, len(support)))
+            rows.append((precision, recall, len(support)))
     return rows
 
 
@@ -166,10 +156,9 @@ def bootstrap_generalization(
         raise EmptyLog("cannot bootstrap from an empty log")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    model_core = minimize(strip_terminal(model))
+    model_core = minimize(model)
     if model_core.is_empty:
         raise EmptyLanguage("the model accepts no trace")
-    rho_model, _ = _growth_rate(model_core)
 
     master = seed if seed is not None else spec.cfg.seed
     if isinstance(master, np.random.SeedSequence):
@@ -197,10 +186,7 @@ def bootstrap_generalization(
                 f"m={spec.m}: a worker process died ({exc})"
             ) from exc
 
-    per_replicate = tuple(
-        (rho_common / rho_model, rho_common / rho_replicate, distinct)
-        for rho_common, rho_replicate, distinct in raw
-    )
+    per_replicate = tuple(raw)
     precisions = [p for p, _, _ in per_replicate]
     recalls = [r for _, r, _ in per_replicate]
     distinct = [d for _, _, d in per_replicate]

@@ -248,29 +248,22 @@ def _cmd_estimate(args) -> int:
         lsm=args.lsm,
         cfg=SamplerConfig(n=args.n, g=args.g, k=args.k, p=args.p, seed=args.seed),
         m=args.m,
-        measure=args.measure,
     )
     estimate = bootstrap_generalization(
         model, log, spec, workers=args.workers, ci_method=args.ci
     )
+    precisions, recalls, distinct = zip(*estimate.per_replicate)
     lines = ["measure\tmean\tci95\tvariance\treplicates"]
-    if spec.measure in ("precision", "both"):
-        lines.append(
-            f"precision\t{estimate.precision_mean:.6f}\t{estimate.precision_ci95:.6f}"
-            f"\t{estimate.precision_var:.6f}\t{estimate.replicates}"
-        )
-    if spec.measure in ("recall", "both"):
-        lines.append(
-            f"recall\t{estimate.recall_mean:.6f}\t{estimate.recall_ci95:.6f}"
-            f"\t{estimate.recall_var:.6f}\t{estimate.replicates}"
-        )
+    if args.measure in ("precision", "both"):
+        lines.append(_estimate_row("precision", precisions, args.ci, spec.m))
+    if args.measure in ("recall", "both"):
+        lines.append(_estimate_row("recall", recalls, args.ci, spec.m))
     if args.harmonic:
         harmonic = [
             2.0 * p * r / (p + r) if p + r > 0.0 else 0.0
-            for p, r, _ in estimate.per_replicate
+            for p, r in zip(precisions, recalls)
         ]
         lines.append(_estimate_row("harmonic_mean", harmonic, args.ci, spec.m))
-    distinct = [d for _, _, d in estimate.per_replicate]
     lines.append(_estimate_row("distinct_traces", distinct, args.ci, spec.m))
     _write_text(args.out, "\n".join(lines) + "\n")
     return 0

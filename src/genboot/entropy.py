@@ -15,10 +15,6 @@ The comparison measures are ratios of those growth rates:
   system: rho(m ∩ s) / rho(m).
 * recall(m, s) — the share of the system's behavior captured by the model:
   rho(m ∩ s) / rho(s).
-
-O-terminated automata are stripped to plain trace acceptors before
-measuring, so both conventions yield the growth rate of the same trace
-language and the two operands are always compared on equal footing.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .automata import Dfa, WeightedDigraph, intersect, short_circuit, strip_terminal, trim
+from .automata import Dfa, WeightedDigraph, intersect, short_circuit, trim
 from .errors import EmptyLanguage, NoConvergence, ZeroDenominator
 
 POWER_TOLERANCE = 1e-12
@@ -38,16 +34,10 @@ POWER_MAX_ITERATIONS = 100_000
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """An entropy measurement: value in nats plus convergence diagnostics."""
+    """An entropy measurement: value in nats and power-iteration steps."""
 
     value: float
-    converged: bool
     iterations: int
-
-
-def _trace_language_automaton(a: Dfa) -> Dfa:
-    """Trimmed plain acceptor of the automaton's trace language."""
-    return trim(strip_terminal(a))
 
 
 def _adjacency(wd: WeightedDigraph) -> sp.csr_matrix:
@@ -90,8 +80,8 @@ def _spectral_radius(wd: WeightedDigraph) -> tuple[float, int]:
 
 
 def _growth_rate(a: Dfa) -> tuple[float, int]:
-    """Spectral radius of the short-circuited trace-language automaton."""
-    core = _trace_language_automaton(a)
+    """Spectral radius of the short-circuited trimmed automaton."""
+    core = trim(a)
     if core.is_empty:
         raise EmptyLanguage("entropy is undefined for an empty language")
     rho, iterations = _spectral_radius(short_circuit(core))
@@ -107,7 +97,7 @@ def topological_entropy(a: Dfa) -> EntropyValue:
     NoConvergence when power iteration exhausts its cap.
     """
     rho, iterations = _growth_rate(a)
-    return EntropyValue(value=math.log(rho), converged=True, iterations=iterations)
+    return EntropyValue(value=math.log(rho), iterations=iterations)
 
 
 def growth_oracle(a: Dfa, horizon: int) -> float:
@@ -119,7 +109,7 @@ def growth_oracle(a: Dfa, horizon: int) -> float:
     """
     if horizon < 8:
         raise ValueError(f"horizon must be at least 8, got {horizon}")
-    core = _trace_language_automaton(a)
+    core = trim(a)
     if core.is_empty:
         raise EmptyLanguage("growth is undefined for an empty language")
     wd = short_circuit(core)
@@ -137,41 +127,28 @@ def growth_oracle(a: Dfa, horizon: int) -> float:
     return math.log(total) / horizon
 
 
-def _measure(m: Dfa, s: Dfa) -> tuple[float, float, float]:
-    nm = _trace_language_automaton(m)
-    ns = _trace_language_automaton(s)
-    if nm.is_empty:
-        raise EmptyLanguage("the first operand accepts nothing")
-    if ns.is_empty:
-        raise EmptyLanguage("the second operand accepts nothing")
-    rho_m, _ = _growth_rate(nm)
-    rho_s, _ = _growth_rate(ns)
-    inter = intersect(nm, ns)
-    rho_i = 0.0 if inter.is_empty else _growth_rate(inter)[0]
-    return rho_i, rho_m, rho_s
+def _measure(m: Dfa, s: Dfa) -> tuple[float, float]:
+    """(precision, recall): the common growth rate over each operand's."""
+    rho_m, _ = _growth_rate(m)
+    rho_s, _ = _growth_rate(s)
+    common = intersect(m, s)
+    rho_i = 0.0 if common.is_empty else _growth_rate(common)[0]
+    for rho, name in ((rho_m, "model"), (rho_s, "system")):
+        if rho <= 0.0 or not math.isfinite(rho):
+            raise ZeroDenominator(f"{name} growth rate degenerated to zero")
+    return rho_i / rho_m, rho_i / rho_s
 
 
 def model_system_precision(m: Dfa, s: Dfa) -> float:
     """Fraction of the model's behavior that the system exhibits."""
-    rho_i, rho_m, _ = _measure(m, s)
-    if rho_m <= 0.0 or not math.isfinite(rho_m):
-        raise ZeroDenominator("model growth rate degenerated to zero")
-    return rho_i / rho_m
+    return _measure(m, s)[0]
 
 
 def model_system_recall(m: Dfa, s: Dfa) -> float:
     """Fraction of the system's behavior that the model captures."""
-    rho_i, _, rho_s = _measure(m, s)
-    if rho_s <= 0.0 or not math.isfinite(rho_s):
-        raise ZeroDenominator("system growth rate degenerated to zero")
-    return rho_i / rho_s
+    return _measure(m, s)[1]
 
 
 def model_system_measures(m: Dfa, s: Dfa) -> tuple[float, float]:
     """Both measures from one shared computation: (precision, recall)."""
-    rho_i, rho_m, rho_s = _measure(m, s)
-    if rho_m <= 0.0 or not math.isfinite(rho_m):
-        raise ZeroDenominator("model growth rate degenerated to zero")
-    if rho_s <= 0.0 or not math.isfinite(rho_s):
-        raise ZeroDenominator("system growth rate degenerated to zero")
-    return rho_i / rho_m, rho_i / rho_s
+    return _measure(m, s)

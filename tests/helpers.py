@@ -32,17 +32,6 @@ def enum_words(a: Dfa, max_len: int) -> set:
     return out
 
 
-def enum_traces(a: Dfa, max_len: int) -> set:
-    """Every trace of length <= max_len the automaton accepts (as tuples)."""
-    if a.o_terminated:
-        return {
-            word[:-1]
-            for word in enum_words(a, max_len + 1)
-            if word and word[-1] == OUTPUT_MARKER
-        }
-    return enum_words(a, max_len)
-
-
 def _closure(arcs, origin, forward: bool) -> set:
     step: dict = {}
     for src, dst in arcs:
@@ -173,7 +162,6 @@ def reference_minimize(a: Dfa) -> Dfa:
         transitions=transitions,
         start=block[a.start],
         accepting=frozenset(block[q] for q in a.accepting),
-        o_terminated=a.o_terminated,
     )
     return _renumber(trim(merged))
 

@@ -13,12 +13,10 @@ from genboot.automata import (
     dfg_to_dfa,
     intersect,
     is_stable,
-    lift_terminal,
     log_to_dfa,
     minimize,
     prefix_tree_acceptor,
     short_circuit,
-    strip_terminal,
     trim,
 )
 from genboot.core import EventLog, Trace
@@ -76,11 +74,27 @@ class TestDfgToDfa:
         assert not accepts(system_dfa, t("adeef"))  # the system has no e->e arc
 
     def test_dfa_shape(self, model_dfg, model_dfa):
-        assert model_dfa.o_terminated
         assert model_dfa.start == "i"
-        assert model_dfa.accepting == {"o"}
-        assert model_dfa.states == model_dfg.actions | {"i", "o"}
-        assert len(model_dfa.transitions) == len(model_dfg.arcs)
+        assert model_dfa.accepting == {"f"}
+        assert model_dfa.states == model_dfg.actions | {"i"}
+        assert len(model_dfa.transitions) == 9  # every arc but f -> o
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=100)
+    def test_language_is_the_input_to_output_walks(self, seed):
+        graph = helpers.random_dfg(np.random.default_rng(seed))
+        walks = set()
+        stack = [("i", ())]
+        while stack:
+            node, word = stack.pop()
+            for source, target in graph.arcs:
+                if source != node:
+                    continue
+                if target == "o":
+                    walks.add(word)
+                elif len(word) < 6:
+                    stack.append((target, word + (target,)))
+        assert helpers.enum_words(dfg_to_dfa(graph), 6) == walks
 
     def test_empty_graph_accepts_nothing(self):
         dfa = dfg_to_dfa(Dfg(frozenset(), frozenset()))
@@ -112,23 +126,15 @@ class TestLogToDfa:
     def test_single_trace(self):
         log = EventLog.from_counts({t("ab"): 5})
         dfa = log_to_dfa(log)
-        assert helpers.enum_traces(dfa, 4) == {("a", "b")}
+        assert helpers.enum_words(dfa, 4) == {("a", "b")}
 
     def test_observed_log_language_is_its_support(self, observed_log):
         dfa = log_to_dfa(observed_log)
         expected = {trace.actions for trace in observed_log.support}
-        assert helpers.enum_traces(dfa, 12) == expected
+        assert helpers.enum_words(dfa, 12) == expected
 
     def test_empty_log(self):
         assert log_to_dfa(EventLog(())).is_empty
-
-    def test_o_terminated_variant(self, observed_log):
-        plain = log_to_dfa(observed_log)
-        lifted = log_to_dfa(observed_log, o_terminated=True)
-        assert lifted.o_terminated
-        for trace in observed_log.support:
-            assert accepts(plain, trace)
-            assert accepts(lifted, trace)
 
 
 class TestTrimAndMinimize:
@@ -203,7 +209,6 @@ def relabel(a: Dfa, label) -> Dfa:
         {(label(q), x): label(r) for (q, x), r in a.transitions.items()},
         label(a.start),
         frozenset(map(label, a.accepting)),
-        a.o_terminated,
     )
 
 
@@ -225,9 +230,6 @@ class TestMinimizeOracle:
         automata += [helpers.model_like_dfa(rng) for _ in range(20)]
         for a in automata:
             assert minimize(a) == helpers.reference_minimize(a)
-            assert minimize(strip_terminal(a)) == helpers.reference_minimize(
-                strip_terminal(a)
-            )
 
     def test_prefix_trees_of_simulated_logs(self, system_dfg):
         rng = np.random.default_rng(16)
@@ -252,23 +254,6 @@ class TestMinimizeOracle:
         assert helpers.enum_words(minimize(a), 3) == {()}
 
 
-class TestLiftStrip:
-    def test_round_trip_preserves_traces(self, observed_log):
-        plain = log_to_dfa(observed_log)
-        again = strip_terminal(lift_terminal(plain))
-        assert helpers.enum_traces(again, 12) == helpers.enum_traces(plain, 12)
-
-    def test_strip_model(self, model_dfa):
-        stripped = strip_terminal(model_dfa)
-        assert not stripped.o_terminated
-        assert accepts(stripped, t("abcf"))
-        assert not accepts(stripped, t("abbbcf"))
-
-    def test_strip_is_identity_on_plain_acceptors(self, observed_log):
-        plain = log_to_dfa(observed_log)
-        assert strip_terminal(plain) is plain
-
-
 class TestIntersect:
     def test_model_with_observed_log(self, model_dfa, observed_log):
         product = intersect(model_dfa, log_to_dfa(observed_log))
@@ -278,11 +263,11 @@ class TestIntersect:
             tuple("adef"),
             tuple("adefabcfadef"),
         }
-        assert helpers.enum_traces(product, 12) == expected
+        assert helpers.enum_words(product, 12) == expected
 
     def test_self_intersection(self, model_dfa):
         product = intersect(model_dfa, model_dfa)
-        assert helpers.enum_traces(product, 8) == helpers.enum_traces(model_dfa, 8)
+        assert helpers.enum_words(product, 8) == helpers.enum_words(model_dfa, 8)
 
     def test_disjoint_singletons(self):
         a = log_to_dfa(EventLog.from_counts({t("ab"): 1}))
@@ -293,7 +278,7 @@ class TestIntersect:
         a = log_to_dfa(EventLog.from_traces([t("ab"), t("cd")]))
         b = log_to_dfa(EventLog.from_traces([t("ab"), t("ef")]))
         product = intersect(a, b)
-        assert helpers.enum_traces(product, 4) == {("a", "b")}
+        assert helpers.enum_words(product, 4) == {("a", "b")}
 
 
 class TestShortCircuit:
@@ -312,8 +297,8 @@ class TestShortCircuit:
 
     def test_model_multigraph(self, model_dfa):
         wd = short_circuit(trim(model_dfa))
-        assert len(wd.nodes) == 8
-        assert wd.edge_total == 11  # ten transitions plus one return edge
+        assert len(wd.nodes) == 7
+        assert wd.edge_total == 10  # nine transitions plus one return edge
 
     def test_parallel_transitions_accumulate(self):
         a = Dfa(

@@ -58,8 +58,6 @@ class TestEstimatorSpec:
             EstimatorSpec(lsm="bootstrap", cfg=cfg, m=3)
         with pytest.raises(ValueError):
             EstimatorSpec(lsm="breeding", cfg=cfg, m=0)
-        with pytest.raises(ValueError):
-            EstimatorSpec(lsm="breeding", cfg=cfg, m=3, measure="f1")
 
 
 class TestBootstrapGeneralization:

@@ -1,0 +1,44 @@
+"""The benchmark's traced replay runs against the library.
+
+``perfbench/round.py`` wraps module attributes of ``genboot`` by name and
+replays each replicate through library calls, so renaming or deleting one
+of them breaks the benchmark without failing any other test.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+
+import numpy as np
+import pytest
+
+from genboot.discovery_sim import WalkConfig, simulate_log
+from genboot.sampling import SamplerConfig
+
+ROUND = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "round.py"
+
+
+def load_round():
+    spec = importlib.util.spec_from_file_location("perfbench_round", ROUND)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("lsm", ["breeding", "replacement"])
+def test_traced_replay(lsm, model_dfa, system_dfg):
+    bench = load_round()
+    tracer = bench.Tracer()
+    log = simulate_log(system_dfg, WalkConfig(trace_count=20, max_length=30, seed=1))
+    cfg = SamplerConfig(n=20, g=2, k=2, p=1.0)
+    with bench.instrument(tracer, bench._cli_targets()):
+        bench._replay(tracer, log, model_dfa, lsm, cfg, np.random.SeedSequence(1), 2)
+    names = {span[0] for span in tracer.spans}
+    sampled = "sampling.breed" if lsm == "breeding" else "sampling.draw"
+    assert {
+        "bootstrap.replay", sampled, "automata.minimize", "automata.pta",
+        "automata.intersect", "entropy.radius",
+    } <= names
+    assert len(tracer.counts["sampling.replicate_distinct"]) == 2
+    assert tracer.counts["automata.minimal_states"] == [7]
