@@ -1,8 +1,9 @@
-"""The benchmark's traced replay runs against the library.
+"""The benchmark's scripts run against the library.
 
 ``perfbench/round.py`` wraps module attributes of ``genboot`` by name and
-replays each replicate through library calls, so renaming or deleting one
-of them breaks the benchmark without failing any other test.
+replays each replicate through library calls, and ``perfbench/figures.py``
+reads the internal breeding engine, so renaming or deleting one of them
+breaks the benchmark without failing any other test.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import pytest
 from genboot.discovery_sim import WalkConfig, simulate_log
 from genboot.sampling import SamplerConfig
 
-ROUND = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "round.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_round():
-    spec = importlib.util.spec_from_file_location("perfbench_round", ROUND)
+def load_script(name: str):
+    path = PERFBENCH / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,7 +30,7 @@ def load_round():
 
 @pytest.mark.parametrize("lsm", ["breeding", "replacement"])
 def test_traced_replay(lsm, model_dfa, system_dfg):
-    bench = load_round()
+    bench = load_script("round")
     tracer = bench.Tracer()
     log = simulate_log(system_dfg, WalkConfig(trace_count=20, max_length=30, seed=1))
     cfg = SamplerConfig(n=20, g=2, k=2, p=1.0)
@@ -42,3 +44,11 @@ def test_traced_replay(lsm, model_dfa, system_dfg):
     } <= names
     assert len(tracer.counts["sampling.replicate_distinct"]) == 2
     assert tracer.counts["automata.minimal_states"] == [7]
+
+
+def test_cache_growth_reads_the_breeding_engine(observed_log):
+    figures = load_script("figures")
+    assert figures.cache_growth(observed_log, 2, 1.0, [1, 5], 1) == [
+        {"g": 1, "interned": 16, "pairs_drawn": 33, "cache_misses": 19, "hit_rate": 0.4242},
+        {"g": 5, "interned": 24, "pairs_drawn": 165, "cache_misses": 36, "hit_rate": 0.7818},
+    ]
