@@ -9,7 +9,6 @@ is scored against each replicate with entropy-based precision and recall.
 from .automata import (
     Dfa,
     Dfg,
-    WeightedDigraph,
     accepts,
     dfg_to_dfa,
     intersect,
@@ -17,7 +16,6 @@ from .automata import (
     log_to_dfa,
     minimize,
     prefix_tree_acceptor,
-    short_circuit,
     trim,
 )
 from .bootstrap import (
@@ -97,7 +95,6 @@ __all__ = [
     "Trace",
     "Unreachable",
     "WalkConfig",
-    "WeightedDigraph",
     "WorkerDied",
     "ZeroDenominator",
     "accepts",
@@ -125,7 +122,6 @@ __all__ = [
     "read_log",
     "sample_with_breeding",
     "sample_with_replacement",
-    "short_circuit",
     "simulate_log",
     "subtrace",
     "suffix",

@@ -3,9 +3,9 @@
 A DFG is a graph over actions with distinguished input/output markers whose
 walks from input to output define a trace language.  Every DFG induces a
 deterministic finite automaton; logs induce automata through a prefix-tree
-acceptor.  Product intersection and the short-circuit transformation feed
-the entropy measures.  Every automaton accepts plain traces: words of
-actions, with no marker letters.
+acceptor.  Trimming and product intersection feed the entropy measures.
+Every automaton accepts plain traces: words of actions, with no marker
+letters.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .core import EventLog, INPUT_MARKER, OUTPUT_MARKER, Trace, check_action
-from .errors import EmptyLanguage
 
 State = object  # states are opaque hashables: strings, ints, or pairs
 
@@ -343,35 +342,3 @@ def intersect(a: Dfa, b: Dfa) -> Dfa:
         accepting=accepting,
     )
     return trim(product)
-
-
-@dataclass(frozen=True)
-class WeightedDigraph:
-    """A directed multigraph given as edge multiplicities, with a start node."""
-
-    nodes: tuple
-    start: object
-    edges: dict  # (src, dst) -> multiplicity
-
-    @property
-    def edge_total(self) -> int:
-        return sum(self.edges.values())
-
-
-def short_circuit(a: Dfa) -> WeightedDigraph:
-    """The directed multigraph of the automaton's transitions plus one fresh
-    return edge from each accepting state back to the start.
-
-    The automaton must be trimmed; the return edges close every accepted
-    word into a cycle, which is what gives finite languages a well-defined
-    growth rate downstream.
-    """
-    if not a.states or not a.accepting:
-        raise EmptyLanguage("cannot short-circuit an automaton that accepts nothing")
-    nodes = tuple(sorted(a.states, key=repr))
-    edges: dict = {}
-    for (q, _), r in sorted(a.transitions.items(), key=repr):
-        edges[(q, r)] = edges.get((q, r), 0) + 1
-    for q in sorted(a.accepting, key=repr):
-        edges[(q, a.start)] = edges.get((q, a.start), 0) + 1
-    return WeightedDigraph(nodes=nodes, start=a.start, edges=edges)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .automata import Dfa, WeightedDigraph, intersect, short_circuit, trim
+from .automata import Dfa, intersect, trim
 from .errors import EmptyLanguage, NoConvergence, ZeroDenominator
 
 POWER_TOLERANCE = 1e-12
@@ -40,26 +40,25 @@ class EntropyValue:
     iterations: int
 
 
-def _adjacency(wd: WeightedDigraph) -> sp.csr_matrix:
-    index = {node: i for i, node in enumerate(wd.nodes)}
-    n = len(wd.nodes)
-    rows, cols, vals = [], [], []
-    for (src, dst), mult in wd.edges.items():
-        rows.append(index[src])
-        cols.append(index[dst])
-        vals.append(float(mult))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def _short_circuit(core: Dfa) -> sp.csr_matrix:
+    """Adjacency matrix of a trimmed automaton's transitions plus one return
+    edge from each accepting state to the start, states indexed in ``repr``
+    order; parallel edges sum into one entry."""
+    index = {q: i for i, q in enumerate(sorted(core.states, key=repr))}
+    edges = [(index[q], index[r]) for (q, _), r in core.transitions.items()]
+    edges += [(index[q], index[core.start]) for q in core.accepting]
+    rows, cols = np.array(edges, dtype=np.intp).reshape(-1, 2).T
+    n = len(index)
+    return sp.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(n, n))
 
 
-def _spectral_radius(wd: WeightedDigraph) -> tuple[float, int]:
-    """Dominant eigenvalue of the multigraph adjacency matrix by power
-    iteration.
+def _spectral_radius(a: sp.csr_matrix) -> tuple[float, int]:
+    """Dominant eigenvalue of a non-negative matrix by power iteration.
 
-    Iterates on A + I: the shift breaks periodicity (the short-circuited
-    graph is strongly connected but may be periodic) and adds exactly 1 to
-    the dominant eigenvalue of a non-negative matrix.
+    Iterates on A + I: the shift breaks periodicity (a short-circuited
+    automaton is strongly connected but may be periodic) and adds exactly 1
+    to the dominant eigenvalue of a non-negative matrix.
     """
-    a = _adjacency(wd)
     n = a.shape[0]
     x = np.full(n, 1.0 / math.sqrt(n))
     shifted = a @ x + x
@@ -82,9 +81,9 @@ def _spectral_radius(wd: WeightedDigraph) -> tuple[float, int]:
 def _growth_rate(a: Dfa) -> tuple[float, int]:
     """Spectral radius of the short-circuited trimmed automaton."""
     core = trim(a)
-    if core.is_empty:
+    if not core.accepting:
         raise EmptyLanguage("entropy is undefined for an empty language")
-    rho, iterations = _spectral_radius(short_circuit(core))
+    rho, iterations = _spectral_radius(_short_circuit(core))
     # short-circuiting guarantees a cycle, so the true radius is >= 1;
     # clamp tiny numerical undershoot
     return max(rho, 1.0), iterations
@@ -110,18 +109,19 @@ def growth_oracle(a: Dfa, horizon: int) -> float:
     if horizon < 8:
         raise ValueError(f"horizon must be at least 8, got {horizon}")
     core = trim(a)
-    if core.is_empty:
+    if not core.accepting:
         raise EmptyLanguage("growth is undefined for an empty language")
-    wd = short_circuit(core)
     out: dict = {}
-    for (src, dst), mult in wd.edges.items():
-        out.setdefault(src, []).append((dst, mult))
-    counts = {wd.start: 1}
+    for (q, _), r in core.transitions.items():
+        out.setdefault(q, []).append(r)
+    for q in core.accepting:
+        out.setdefault(q, []).append(core.start)
+    counts = {core.start: 1}
     for _ in range(horizon):
         nxt: dict = {}
-        for node, c in counts.items():
-            for dst, mult in out.get(node, ()):
-                nxt[dst] = nxt.get(dst, 0) + c * mult
+        for q, c in counts.items():
+            for r in out.get(q, ()):
+                nxt[r] = nxt.get(r, 0) + c
         counts = nxt
     total = sum(counts.values())
     return math.log(total) / horizon
@@ -132,7 +132,7 @@ def _measure(m: Dfa, s: Dfa) -> tuple[float, float]:
     rho_m, _ = _growth_rate(m)
     rho_s, _ = _growth_rate(s)
     common = intersect(m, s)
-    rho_i = 0.0 if common.is_empty else _growth_rate(common)[0]
+    rho_i = _growth_rate(common)[0] if common.accepting else 0.0
     for rho, name in ((rho_m, "model"), (rho_s, "system")):
         if rho <= 0.0 or not math.isfinite(rho):
             raise ZeroDenominator(f"{name} growth rate degenerated to zero")

@@ -16,12 +16,11 @@ from genboot.automata import (
     log_to_dfa,
     minimize,
     prefix_tree_acceptor,
-    short_circuit,
     trim,
 )
 from genboot.core import EventLog, Trace
 from genboot.discovery_sim import WalkConfig, simulate_log
-from genboot.errors import EmptyLanguage, RetryExhausted
+from genboot.errors import RetryExhausted
 
 
 def t(text: str) -> Trace:
@@ -279,41 +278,3 @@ class TestIntersect:
         b = log_to_dfa(EventLog.from_traces([t("ab"), t("ef")]))
         product = intersect(a, b)
         assert helpers.enum_words(product, 4) == {("a", "b")}
-
-
-class TestShortCircuit:
-    def test_single_trace_cycle(self):
-        dfa = trim(prefix_tree_acceptor([t("x")]))
-        wd = short_circuit(dfa)
-        assert len(wd.nodes) == 2
-        assert wd.edge_total == 2
-
-    def test_empty_trace_self_loop(self):
-        dfa = trim(prefix_tree_acceptor([t("")]))
-        wd = short_circuit(dfa)
-        assert len(wd.nodes) == 1
-        assert wd.edge_total == 1
-        assert wd.edges == {(wd.start, wd.start): 1}
-
-    def test_model_multigraph(self, model_dfa):
-        wd = short_circuit(trim(model_dfa))
-        assert len(wd.nodes) == 7
-        assert wd.edge_total == 10  # nine transitions plus one return edge
-
-    def test_parallel_transitions_accumulate(self):
-        a = Dfa(
-            states=frozenset({0, 1}),
-            alphabet=frozenset({"x", "y"}),
-            transitions={(0, "x"): 1, (0, "y"): 1},
-            start=0,
-            accepting=frozenset({1}),
-        )
-        wd = short_circuit(a)
-        assert wd.edges[(0, 1)] == 2
-
-    def test_rejects_empty_language(self):
-        empty = trim(
-            Dfa(frozenset({0}), frozenset({"x"}), {}, 0, frozenset())
-        )
-        with pytest.raises(EmptyLanguage):
-            short_circuit(empty)

@@ -13,6 +13,7 @@ from genboot.automata import (
 )
 from genboot.core import EventLog, Trace
 from genboot.entropy import (
+    _short_circuit,
     growth_oracle,
     model_system_measures,
     model_system_precision,
@@ -40,6 +41,32 @@ def complete_two_node_dfa() -> Dfa:
         start=0,
         accepting=frozenset({1}),
     )
+
+
+class TestShortCircuit:
+    def test_single_trace_cycle(self):
+        a = _short_circuit(trim(prefix_tree_acceptor([t("x")])))
+        assert a.shape == (2, 2)
+        assert a.sum() == 2
+
+    def test_empty_trace_self_loop(self):
+        a = _short_circuit(trim(prefix_tree_acceptor([t("")])))
+        assert a.toarray().tolist() == [[1.0]]
+
+    def test_model_matrix(self, model_dfa):
+        a = _short_circuit(trim(model_dfa))
+        assert a.shape == (7, 7)
+        assert a.sum() == 10  # nine transitions plus one return edge
+
+    def test_parallel_transitions_accumulate(self):
+        a = Dfa(
+            states=frozenset({0, 1}),
+            alphabet=frozenset({"x", "y"}),
+            transitions={(0, "x"): 1, (0, "y"): 1},
+            start=0,
+            accepting=frozenset({1}),
+        )
+        assert _short_circuit(trim(a))[0, 1] == 2
 
 
 class TestTopologicalEntropy:
