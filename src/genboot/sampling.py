@@ -23,9 +23,10 @@ interned traces are inserted into it by bisection, and nothing is sorted by
 trace per pass.  The engine breeds a block of replicates in lockstep: each
 replicate keeps its own generator and draws exactly what it would draw
 alone, then a gather and a row sort move the whole block a generation
-forward, and each replicate's generations are pooled as sparse counts.  Ids
-reach a draw only through the canonical order, so a replicate's output does
-not depend on which replicates share its block.
+forward, and the block's generations are pooled as dense counts, one row
+per replicate and one column per interned trace.  Ids reach a draw only
+through the canonical order, so a replicate's output does not depend on
+which replicates share its block.
 """
 
 from __future__ import annotations
@@ -140,8 +141,7 @@ class _BreedingEngine:
     per sorted pair key a count and an offset into ``_kid1``/``_kid2``, one
     child pair per site, where a pair without sites is stored as its own
     parents.  Memory grows with the traces interned and the pairs bred, and
-    a block's pooled generations hold one count per replicate and distinct
-    trace that replicate bred.
+    a block's pool holds one count per replicate and interned trace.
     """
 
     def __init__(self, base: EventLog, k: int, p: float):
@@ -272,63 +272,34 @@ class _BreedingEngine:
         """One replicate per generator: ``g`` generations bred in lockstep,
         pooled with the base log, then ``n`` traces drawn with replacement.
 
-        The pool is sparse: sorted keys (replicate << 32 | id) with counts,
-        into which the generations bred since the last merge are merged once
-        they outnumber the keys, so that each merge's sort is paid for by as
-        many bred keys as it sorts."""
-        rows = np.arange(len(rngs), dtype=np.int64)[:, None] << 32
-        base = np.fromiter(self.base_counter, dtype=np.int64, count=len(self.base_counter))
-        keys = (rows + base).ravel()
-        counts = np.tile(np.array(list(self.base_counter.values()), dtype=np.int64), len(rngs))
-        fresh: list[np.ndarray] = []
-        held = 0
+        The pool is dense, one row of counts per replicate over the interned
+        ids, and doubles in width whenever the table outgrows it."""
+        pool = np.zeros((len(rngs), len(self.table)), dtype=np.int64)
+        pool[:, list(self.base_counter)] = list(self.base_counter.values())
+        replicates = np.arange(len(rngs))[:, None]
         cur = np.tile(self.base_expand, (len(rngs), 1))
         for _ in range(g):
             kids = self._generation(cur, rngs)
-            fresh.append((kids + rows).ravel())
-            held += fresh[-1].size
-            if held >= max(keys.size, _MERGE):
-                keys, counts = _pooled(keys, counts, fresh)
-                fresh, held = [], 0
+            if pool.shape[1] < len(self.table):
+                grow = max(len(self.table) - pool.shape[1], pool.shape[1])
+                pool = np.pad(pool, ((0, 0), (0, grow)))
+            np.add.at(pool, (replicates, kids), 1)
             rank, by_rank = self._ranks()
             ranks = rank[kids.transpose(1, 0, 2)].reshape(len(rngs), -1)
             cur = by_rank[np.sort(ranks, axis=1)]
-        keys, counts = _pooled(keys, counts, fresh)
-        bounds = np.searchsorted(keys, np.arange(len(rngs) + 1, dtype=np.int64) << 32)
-        return [
-            self._draw(keys[lo:hi] & 0xFFFFFFFF, counts[lo:hi], n, rng)
-            for lo, hi, rng in zip(bounds, bounds[1:], rngs)
-        ]
+        return [self._draw(row, n, rng) for row, rng in zip(pool, rngs)]
 
-    def _draw(
-        self, ids: np.ndarray, counts: np.ndarray, n: int, rng: np.random.Generator
-    ) -> EventLog:
+    def _draw(self, row: np.ndarray, n: int, rng: np.random.Generator) -> EventLog:
         """Sample ``n`` occurrences with replacement from counts over ids."""
         rank, _ = self._ranks()
-        order = np.argsort(rank[ids])
-        ids = ids[order]
-        cum = np.cumsum(counts[order])
+        ids = np.flatnonzero(row)
+        ids = ids[np.argsort(rank[ids])]
+        cum = np.cumsum(row[ids])
         draws = rng.integers(0, int(cum[-1]), n)
         hits = np.bincount(np.searchsorted(cum, draws, side="right"), minlength=ids.size)
         return EventLog.from_counts(
             {Trace(self.table[i]): c for i, c in zip(ids.tolist(), hits.tolist()) if c}
         )
-
-
-# Fewest bred keys that are merged into a block's pool at once.  Each merge
-# sorts the pool, so merging every generation would cost more than breeding.
-_MERGE = 1 << 12
-
-
-def _pooled(keys: np.ndarray, counts: np.ndarray, fresh: list[np.ndarray]):
-    """Distinct keys, sorted, with their counts: those of ``keys`` plus one
-    per occurrence in the ``fresh`` arrays."""
-    keys = np.concatenate([keys, *fresh])
-    counts = np.concatenate([counts, np.ones(keys.size - counts.size, dtype=np.int64)])
-    order = np.argsort(keys)
-    keys, counts = keys[order], counts[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[first], np.add.reduceat(counts, first)
 
 
 def log_breeding(
