@@ -147,8 +147,7 @@ def bootstrap_generalization(
     lists are aggregated with :func:`aggregate`.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; when omitted,
-    ``spec.cfg.seed`` is used, and when that is also None the run is seeded
-    from OS entropy.  Replicates are independent; split into
+    the run is seeded from OS entropy.  Replicates are independent; split into
     ``min(workers, spec.m)`` blocks, they may be spread over that many
     processes without changing the result.
     """
@@ -160,11 +159,10 @@ def bootstrap_generalization(
     if model_core.is_empty:
         raise EmptyLanguage("the model accepts no trace")
 
-    master = seed if seed is not None else spec.cfg.seed
-    if isinstance(master, np.random.SeedSequence):
-        sequence = master
+    if isinstance(seed, np.random.SeedSequence):
+        sequence = seed
     else:
-        sequence = np.random.SeedSequence(master)
+        sequence = np.random.SeedSequence(seed)
     children = sequence.spawn(spec.m)
     blocks = min(workers, spec.m)
     bounds = [spec.m * b // blocks for b in range(blocks + 1)]

@@ -230,7 +230,7 @@ def _cmd_sample(args) -> int:
     if args.lsm == "replacement":
         replicate = sample_with_replacement(log, args.n, rng)
     else:
-        cfg = SamplerConfig(n=args.n, g=args.g, k=args.k, p=args.p, seed=args.seed)
+        cfg = SamplerConfig(n=args.n, g=args.g, k=args.k, p=args.p)
         replicate = sample_with_breeding(log, args.n, cfg, rng)
     _write_text(args.out, _format_log(replicate))
     return 0
@@ -246,11 +246,11 @@ def _cmd_estimate(args) -> int:
     log = read_log(args.log)
     spec = EstimatorSpec(
         lsm=args.lsm,
-        cfg=SamplerConfig(n=args.n, g=args.g, k=args.k, p=args.p, seed=args.seed),
+        cfg=SamplerConfig(n=args.n, g=args.g, k=args.k, p=args.p),
         m=args.m,
     )
     estimate = bootstrap_generalization(
-        model, log, spec, workers=args.workers, ci_method=args.ci
+        model, log, spec, seed=args.seed, workers=args.workers, ci_method=args.ci
     )
     precisions, recalls, distinct = zip(*estimate.per_replicate)
     lines = ["measure\tmean\tci95\tvariance\treplicates"]

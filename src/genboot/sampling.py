@@ -54,15 +54,13 @@ class SamplerConfig:
     """Parameters of the breeding sampler.
 
     n: replicate size; g: number of breeding generations; k: shared-subtrace
-    length; p: probability of breeding a drawn pair; seed: master RNG seed
-    (None draws fresh OS entropy).
+    length; p: probability of breeding a drawn pair.
     """
 
     n: int
     g: int = 0
     k: int = 1
     p: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self):
         if self.n < 1:

@@ -73,17 +73,6 @@ class TestBootstrapGeneralization:
         assert estimate.replicates == 1
         assert len(estimate.per_replicate) == 1
 
-    def test_seed_can_come_from_the_sampler_config(self, model_dfa, observed_log):
-        spec_seeded = EstimatorSpec(
-            lsm="breeding", cfg=SamplerConfig(n=40, g=3, k=2, p=1.0, seed=17), m=4
-        )
-        spec_plain = EstimatorSpec(
-            lsm="breeding", cfg=SamplerConfig(n=40, g=3, k=2, p=1.0), m=4
-        )
-        via_cfg = bootstrap_generalization(model_dfa, observed_log, spec_seeded)
-        via_arg = bootstrap_generalization(model_dfa, observed_log, spec_plain, seed=17)
-        assert via_cfg == via_arg
-
     def test_deterministic_given_seed(self, model_dfa, observed_log):
         spec = EstimatorSpec(
             lsm="breeding", cfg=SamplerConfig(n=50, g=5, k=2, p=1.0), m=6
@@ -174,9 +163,9 @@ class TestBootstrapGeneralization:
 
     def test_dead_worker_is_a_domain_error(self, model_dfa, observed_log):
         log = helpers.WorkerKillingLog(observed_log.entries)
-        spec = EstimatorSpec(lsm="replacement", cfg=SamplerConfig(n=5, seed=1), m=4)
+        spec = EstimatorSpec(lsm="replacement", cfg=SamplerConfig(n=5), m=4)
         with pytest.raises(WorkerDied, match="cell lsm=replacement n=5 g=0 .* m=4"):
-            bootstrap_generalization(model_dfa, log, spec, workers=2)
+            bootstrap_generalization(model_dfa, log, spec, seed=1, workers=2)
 
 
 class TestLargeReplicateBehavior:

@@ -41,7 +41,7 @@ def small_logs(draw):
 class TestSamplerConfig:
     def test_defaults(self):
         cfg = SamplerConfig(n=10)
-        assert (cfg.g, cfg.k, cfg.p, cfg.seed) == (0, 1, 1.0, None)
+        assert (cfg.g, cfg.k, cfg.p) == (0, 1, 1.0)
 
     @pytest.mark.parametrize(
         "kwargs",
