@@ -36,32 +36,40 @@ def bundled_path(name: str):
 # file formats
 
 
+def _records(path):
+    """The split fields of a text file's non-blank, non-comment lines, with
+    their 1-based line numbers."""
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            for lineno, raw in enumerate(handle, 1):
+                line = raw.strip()
+                if line and not line.startswith("#"):
+                    yield lineno, line.split()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}", path=str(path)) from None
+
+
 def read_log(path) -> EventLog:
     """Parse a log file; duplicate trace lines accumulate."""
     counts: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            try:
-                count = int(fields[0])
-            except ValueError:
-                raise ParseError(
-                    f"expected a trace count, got {fields[0]!r}",
-                    path=str(path),
-                    line=lineno,
-                ) from None
-            if count < 1:
-                raise ParseError(
-                    "trace count must be positive", path=str(path), line=lineno
-                )
-            try:
-                trace = Trace(tuple(fields[1:]))
-            except ValueError as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno) from None
-            counts[trace] = counts.get(trace, 0) + count
+    for lineno, fields in _records(path):
+        try:
+            count = int(fields[0])
+        except ValueError:
+            raise ParseError(
+                f"expected a trace count, got {fields[0]!r}",
+                path=str(path),
+                line=lineno,
+            ) from None
+        if count < 1:
+            raise ParseError(
+                "trace count must be positive", path=str(path), line=lineno
+            )
+        try:
+            trace = Trace(tuple(fields[1:]))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=str(path), line=lineno) from None
+        counts[trace] = counts.get(trace, 0) + count
     return EventLog.from_counts(counts)
 
 
@@ -95,58 +103,51 @@ def read_dfg(path) -> Dfg:
     arcs: set = set()
     action_freq: dict = {}
     arc_freq: dict = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if fields[0] == "node":
-                if len(fields) != 3:
-                    raise ParseError(
-                        "node lines read: node <name> <frequency>",
-                        path=str(path),
-                        line=lineno,
-                    )
-                name = fields[1]
-                if name in action_freq:
-                    raise ParseError(
-                        f"duplicate node {name!r}", path=str(path), line=lineno
-                    )
-                if name not in (INPUT_MARKER, OUTPUT_MARKER):
-                    try:
-                        check_action(name)
-                    except ValueError as exc:
-                        raise ParseError(
-                            str(exc), path=str(path), line=lineno
-                        ) from None
-                    actions.add(name)
-                action_freq[name] = _parse_frequency(fields[2], path, lineno)
-            elif fields[0] == "edge":
-                if len(fields) != 4:
-                    raise ParseError(
-                        "edge lines read: edge <source> <target> <frequency>",
-                        path=str(path),
-                        line=lineno,
-                    )
-                src, dst = fields[1], fields[2]
-                if (src, dst) in arcs:
-                    raise ParseError(
-                        f"duplicate edge {src!r} -> {dst!r}",
-                        path=str(path),
-                        line=lineno,
-                    )
-                arcs.add((src, dst))
-                arc_freq[(src, dst)] = _parse_frequency(fields[3], path, lineno)
-                for endpoint in (src, dst):
-                    if endpoint not in (INPUT_MARKER, OUTPUT_MARKER):
-                        actions.add(endpoint)
-            else:
+    for lineno, fields in _records(path):
+        if fields[0] == "node":
+            if len(fields) != 3:
                 raise ParseError(
-                    f"unknown directive {fields[0]!r}; expected node or edge",
+                    "node lines read: node <name> <frequency>",
                     path=str(path),
                     line=lineno,
                 )
+            name = fields[1]
+            if name in action_freq:
+                raise ParseError(
+                    f"duplicate node {name!r}", path=str(path), line=lineno
+                )
+            if name not in (INPUT_MARKER, OUTPUT_MARKER):
+                try:
+                    check_action(name)
+                except ValueError as exc:
+                    raise ParseError(str(exc), path=str(path), line=lineno) from None
+                actions.add(name)
+            action_freq[name] = _parse_frequency(fields[2], path, lineno)
+        elif fields[0] == "edge":
+            if len(fields) != 4:
+                raise ParseError(
+                    "edge lines read: edge <source> <target> <frequency>",
+                    path=str(path),
+                    line=lineno,
+                )
+            src, dst = fields[1], fields[2]
+            if (src, dst) in arcs:
+                raise ParseError(
+                    f"duplicate edge {src!r} -> {dst!r}",
+                    path=str(path),
+                    line=lineno,
+                )
+            arcs.add((src, dst))
+            arc_freq[(src, dst)] = _parse_frequency(fields[3], path, lineno)
+            for endpoint in (src, dst):
+                if endpoint not in (INPUT_MARKER, OUTPUT_MARKER):
+                    actions.add(endpoint)
+        else:
+            raise ParseError(
+                f"unknown directive {fields[0]!r}; expected node or edge",
+                path=str(path),
+                line=lineno,
+            )
     try:
         return Dfg(frozenset(actions), frozenset(arcs), action_freq, arc_freq)
     except ValueError as exc:

@@ -131,6 +131,17 @@ class TestMeasureCommand:
         missing = str(tmp_path / "nope.dfg")
         assert main(["measure", "--model", missing, "--log", LOG]) == 2
 
+    @pytest.mark.parametrize("kind", ["log", "model"])
+    def test_non_utf8_file_is_a_read_error(self, capsys, tmp_path, kind):
+        content = b"2 a \xff b\n" if kind == "log" else b"node i 0\nnode \xff 1\n"
+        bad = tmp_path / f"bad.{kind}"
+        bad.write_bytes(content)
+        files = {"model": MODEL, "log": LOG, kind: str(bad)}
+        assert main(["measure", "--model", files["model"], "--log", files["log"]]) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err
+        assert "Traceback" not in err
+
     def test_domain_error_exit_code(self, capsys, tmp_path):
         target = tmp_path / "empty.dfg"
         target.write_text("node i 0\nnode o 0\n")
