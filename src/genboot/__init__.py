@@ -38,6 +38,8 @@ from .discovery_sim import DiscoveryConfig, WalkConfig, discover_dfg, simulate_l
 from .entropy import (
     EntropyValue,
     growth_oracle,
+    log_entropy,
+    log_measures,
     model_system_measures,
     model_system_precision,
     model_system_recall,
@@ -110,6 +112,8 @@ __all__ = [
     "is_stable",
     "log_breeding",
     "log_concat",
+    "log_entropy",
+    "log_measures",
     "log_to_dfa",
     "minimize",
     "model_system_measures",

@@ -1,10 +1,12 @@
 """Bootstrap estimation of generalization for a discovered model.
 
 The estimator repeatedly resamples the observed log into replicate logs
-(plain resampling or resampling with crossover breeding), converts each
-replicate into its trace-language acceptor, and measures precision and
-recall of the model against that acceptor.  Replicate measures are then
-aggregated into means with 95% confidence intervals.
+(plain resampling or resampling with crossover breeding) and measures
+precision and recall of the model against each replicate's trace language.
+A replicate is a finite language, so it is measured from the lengths of its
+distinct traces and the model's verdict on each (see ``entropy``), against
+the model's growth rate, computed once per estimate.  Replicate measures are
+then aggregated into means with 95% confidence intervals.
 
 Replicate seeds are spawned from a single master seed.  The replicates are
 split into ``min(workers, m)`` contiguous blocks, one task each.  A task
@@ -24,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .automata import Dfa, minimize, prefix_tree_acceptor
+from .automata import Dfa, accepts, minimize
 from .core import EventLog
-from .entropy import model_system_measures
+from .entropy import _finite_measures, _growth_rate
 from .errors import EmptyData, EmptyLanguage, EmptyLog, GenbootError, WorkerDied
 from .sampling import sample_block_with_breeding, sample_with_replacement
 
@@ -109,7 +111,8 @@ _LOCKSTEP = 4
 
 def _block_task(args):
     """Measure a block of replicates; runs in the calling or a worker process."""
-    start, seeds, log, lsm, cfg, model_core = args
+    start, seeds, log, lsm, cfg, model_core, rho_model = args
+    verdicts: dict = {}  # trace -> whether the model accepts it
     rows = []
     for lo in range(0, len(seeds), _LOCKSTEP):
         rngs = [np.random.default_rng(seed) for seed in seeds[lo : lo + _LOCKSTEP]]
@@ -119,9 +122,12 @@ def _block_task(args):
             replicates = (sample_with_replacement(log, cfg.n, rng) for rng in rngs)
         for offset, replicate in enumerate(replicates, start + lo):
             support = replicate.support
+            for t in support:
+                if t not in verdicts:
+                    verdicts[t] = accepts(model_core, t)
             try:
-                precision, recall = model_system_measures(
-                    model_core, prefix_tree_acceptor(support)
+                precision, recall = _finite_measures(
+                    rho_model, support, [verdicts[t] for t in support]
                 )
             except GenbootError as exc:
                 raise type(exc)(f"replicate {offset}: {exc}") from exc
@@ -158,6 +164,7 @@ def bootstrap_generalization(
     model_core = minimize(model)
     if model_core.is_empty:
         raise EmptyLanguage("the model accepts no trace")
+    rho_model, _ = _growth_rate(model_core)
 
     if isinstance(seed, np.random.SeedSequence):
         sequence = seed
@@ -167,7 +174,7 @@ def bootstrap_generalization(
     blocks = min(workers, spec.m)
     bounds = [spec.m * b // blocks for b in range(blocks + 1)]
     tasks = [
-        (lo, children[lo:hi], log, spec.lsm, spec.cfg, model_core)
+        (lo, children[lo:hi], log, spec.lsm, spec.cfg, model_core, rho_model)
         for lo, hi in zip(bounds, bounds[1:])
     ]
 

@@ -18,11 +18,16 @@ from importlib import resources
 
 import numpy as np
 
-from .automata import Dfg, dfg_to_dfa, log_to_dfa
+from .automata import Dfg, dfg_to_dfa
 from .bootstrap import EstimatorSpec, aggregate, bootstrap_generalization
 from .core import EventLog, INPUT_MARKER, OUTPUT_MARKER, Trace, check_action
 from .discovery_sim import DiscoveryConfig, WalkConfig, discover_dfg, simulate_log
-from .entropy import model_system_measures, topological_entropy
+from .entropy import (
+    log_entropy,
+    log_measures,
+    model_system_measures,
+    topological_entropy,
+)
 from .errors import GenbootError, ParseError
 from .sampling import SamplerConfig, sample_with_breeding, sample_with_replacement
 
@@ -188,10 +193,10 @@ def _write_text(destination, text: str) -> None:
 def _cmd_measure(args) -> int:
     model = dfg_to_dfa(read_dfg(args.model))
     if args.system is not None:
-        other = dfg_to_dfa(read_dfg(args.system))
+        system = dfg_to_dfa(read_dfg(args.system))
+        precision, recall = model_system_measures(model, system)
     else:
-        other = log_to_dfa(read_log(args.log))
-    precision, recall = model_system_measures(model, other)
+        precision, recall = log_measures(model, read_log(args.log))
     print(f"precision {precision:.6f}")
     print(f"recall {recall:.6f}")
     return 0
@@ -199,10 +204,10 @@ def _cmd_measure(args) -> int:
 
 def _cmd_entropy(args) -> int:
     if args.dfg is not None:
-        automaton = dfg_to_dfa(read_dfg(args.dfg))
+        value = topological_entropy(dfg_to_dfa(read_dfg(args.dfg)))
     else:
-        automaton = log_to_dfa(read_log(args.log))
-    print(f"entropy {topological_entropy(automaton).value:.6f}")
+        value = log_entropy(read_log(args.log))
+    print(f"entropy {value.value:.6f}")
     return 0
 
 

@@ -9,12 +9,29 @@ deterministic acceptor of a language (walks from the start correspond
 exactly to prefixes of return-closed words), so it can be computed directly
 on whatever trimmed automaton is at hand.
 
+A finite language needs no automaton.  Short-circuit its trimmed prefix
+tree and every cycle passes through the start, and each word w closes
+exactly one first-return cycle, of length |w| + 1.  So the radius is 1/x*,
+where x* in (0, 1] is the unique root of the renewal equation
+
+    F(x) = sum over lengths l of N_l * x**(l + 1) = 1,
+
+with N_l the number of distinct words of length l.  F increases on (0, 1],
+so bisection brackets the root, and with it the radius, between adjacent
+floats: F(lo) < 1 <= F(hi), as F evaluates in floating point, gives
+1/hi <= rho <= 1/lo.  Logs and bootstrap replicates are measured this way;
+power iteration serves the cyclic automata of graphs.
+
 The comparison measures are ratios of those growth rates:
 
 * precision(m, s) — the share of the model's behavior present in the
   system: rho(m ∩ s) / rho(m).
 * recall(m, s) — the share of the system's behavior captured by the model:
   rho(m ∩ s) / rho(s).
+
+Against a finite log L and a deterministic model m, the intersection is the
+set of L's distinct traces that m accepts, so the measures need only the
+traces' lengths and m's verdict on each.
 """
 
 from __future__ import annotations
@@ -25,7 +42,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .automata import Dfa, intersect, trim
+from .automata import Dfa, accepts, intersect, trim
+from .core import EventLog
 from .errors import EmptyLanguage, NoConvergence, ZeroDenominator
 
 POWER_TOLERANCE = 1e-12
@@ -34,7 +52,8 @@ POWER_MAX_ITERATIONS = 100_000
 
 @dataclass(frozen=True)
 class EntropyValue:
-    """An entropy measurement: value in nats and power-iteration steps."""
+    """An entropy measurement: value in nats and the solver's steps (power
+    iterations, or bisection steps for a log)."""
 
     value: float
     iterations: int
@@ -89,6 +108,26 @@ def _growth_rate(a: Dfa) -> tuple[float, int]:
     return max(rho, 1.0), iterations
 
 
+def _finite_growth(lengths) -> tuple[float, int]:
+    """Growth rate of a finite language from the lengths of its distinct
+    words, and the bisection steps taken: 1/hi, where F(lo) < 1 <= F(hi)
+    for the renewal function F and adjacent floats lo < hi."""
+    counts = np.bincount(np.asarray(lengths, dtype=np.intp))
+    if not counts.any():
+        raise EmptyLanguage("entropy is undefined for an empty language")
+    powers = np.arange(1, len(counts) + 1)
+    lo, hi, steps = 0.0, 1.0, 0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return 1.0 / hi, steps
+        steps += 1
+        if counts @ mid**powers >= 1.0:
+            hi = mid
+        else:
+            lo = mid
+
+
 def topological_entropy(a: Dfa) -> EntropyValue:
     """ln of the spectral radius of the short-circuited trimmed automaton.
 
@@ -127,16 +166,31 @@ def growth_oracle(a: Dfa, horizon: int) -> float:
     return math.log(total) / horizon
 
 
-def _measure(m: Dfa, s: Dfa) -> tuple[float, float]:
+def _ratios(rho_i: float, rho_m: float, rho_s: float) -> tuple[float, float]:
     """(precision, recall): the common growth rate over each operand's."""
-    rho_m, _ = _growth_rate(m)
-    rho_s, _ = _growth_rate(s)
-    common = intersect(m, s)
-    rho_i = _growth_rate(common)[0] if common.accepting else 0.0
     for rho, name in ((rho_m, "model"), (rho_s, "system")):
         if rho <= 0.0 or not math.isfinite(rho):
             raise ZeroDenominator(f"{name} growth rate degenerated to zero")
     return rho_i / rho_m, rho_i / rho_s
+
+
+def _measure(m: Dfa, s: Dfa) -> tuple[float, float]:
+    rho_m, _ = _growth_rate(m)
+    rho_s, _ = _growth_rate(s)
+    common = intersect(m, s)
+    rho_i = _growth_rate(common)[0] if common.accepting else 0.0
+    return _ratios(rho_i, rho_m, rho_s)
+
+
+def _finite_measures(rho_m: float, words, accepted) -> tuple[float, float]:
+    """(precision, recall) of a model of growth rate ``rho_m`` against the
+    finite language of the distinct ``words``; ``accepted`` holds the
+    model's verdict on each word."""
+    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
+    mask = np.fromiter(accepted, dtype=bool, count=len(words))
+    rho_l, _ = _finite_growth(lengths)
+    rho_i = _finite_growth(lengths[mask])[0] if mask.any() else 0.0
+    return _ratios(rho_i, rho_m, rho_l)
 
 
 def model_system_precision(m: Dfa, s: Dfa) -> float:
@@ -152,3 +206,23 @@ def model_system_recall(m: Dfa, s: Dfa) -> float:
 def model_system_measures(m: Dfa, s: Dfa) -> tuple[float, float]:
     """Both measures from one shared computation: (precision, recall)."""
     return _measure(m, s)
+
+
+def log_entropy(log: EventLog) -> EntropyValue:
+    """Topological entropy of the language of a log's distinct traces: the
+    value ``topological_entropy(log_to_dfa(log))`` approximates by power
+    iteration, from the renewal equation instead.
+
+    Raises EmptyLanguage when the log is empty.
+    """
+    rho, steps = _finite_growth([len(t) for t in log.support])
+    return EntropyValue(value=math.log(rho), iterations=steps)
+
+
+def log_measures(m: Dfa, log: EventLog) -> tuple[float, float]:
+    """(precision, recall) of a model against a log's distinct traces: the
+    values ``model_system_measures(m, log_to_dfa(log))`` approximates, with
+    the log and the intersection measured by the renewal equation."""
+    rho_m, _ = _growth_rate(m)
+    support = log.support
+    return _finite_measures(rho_m, support, [accepts(m, t) for t in support])

@@ -7,7 +7,7 @@ import os
 import numpy as np
 
 from genboot.automata import Dfa, Dfg, _renumber, _succ, dfg_to_dfa, trim
-from genboot.core import INPUT_MARKER, OUTPUT_MARKER, EventLog, Trace
+from genboot.core import INPUT_MARKER, OUTPUT_MARKER, EventLog
 from genboot.sampling import breeding_sites, crossover
 
 # candidate action names; the markers are deliberately absent

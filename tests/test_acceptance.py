@@ -8,7 +8,6 @@ a wide margin.
 
 from __future__ import annotations
 
-import itertools
 import time
 
 import numpy as np

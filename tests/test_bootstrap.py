@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from genboot import bootstrap
-from genboot.automata import Dfg, dfg_to_dfa
+from genboot.automata import Dfg, dfg_to_dfa, minimize, prefix_tree_acceptor
 from genboot.bootstrap import (
     EstimatorSpec,
     GeneralizationEstimate,
@@ -14,7 +14,8 @@ from genboot.bootstrap import (
 )
 from genboot.core import EventLog, Trace
 from genboot.errors import EmptyData, EmptyLanguage, EmptyLog, NoConvergence, WorkerDied
-from genboot.sampling import SamplerConfig
+from genboot.entropy import model_system_measures
+from genboot.sampling import SamplerConfig, sample_with_breeding, sample_with_replacement
 
 
 def t(text: str) -> Trace:
@@ -104,19 +105,39 @@ class TestBootstrapGeneralization:
 
     def test_a_failing_replicate_is_named(self, model_dfa, observed_log, monkeypatch):
         # the sixth replicate fails, in the second lockstep batch of its block
-        real = bootstrap.prefix_tree_acceptor
+        real = bootstrap._finite_measures
         calls = []
 
-        def failing(support):
-            calls.append(support)
+        def failing(*args):
+            calls.append(args)
             if len(calls) == 6:
                 raise NoConvergence("no convergence")
-            return real(support)
+            return real(*args)
 
-        monkeypatch.setattr(bootstrap, "prefix_tree_acceptor", failing)
+        monkeypatch.setattr(bootstrap, "_finite_measures", failing)
         spec = EstimatorSpec(lsm="breeding", cfg=SamplerConfig(n=50, g=5, k=2, p=0.7), m=7)
         with pytest.raises(NoConvergence, match="^replicate 5: no convergence$"):
             bootstrap_generalization(model_dfa, observed_log, spec, seed=31)
+
+    @pytest.mark.parametrize("lsm", ["replacement", "breeding"])
+    def test_replicates_match_the_automaton_measures(self, model_dfa, observed_log, lsm):
+        # each replicate, drawn again alone from its own seed, measured
+        # through its prefix-tree acceptor and the product with the model
+        cfg = SamplerConfig(n=60, g=8, k=2, p=0.7)
+        spec = EstimatorSpec(lsm=lsm, cfg=cfg, m=6)
+        estimate = bootstrap_generalization(model_dfa, observed_log, spec, seed=17)
+        model_core = minimize(model_dfa)
+        seeds = np.random.SeedSequence(17).spawn(spec.m)
+        for seed, (precision, recall, distinct) in zip(seeds, estimate.per_replicate):
+            rng = np.random.default_rng(seed)
+            if lsm == "replacement":
+                replicate = sample_with_replacement(observed_log, cfg.n, rng)
+            else:
+                replicate = sample_with_breeding(observed_log, cfg.n, cfg, rng)
+            support = replicate.support
+            want = model_system_measures(model_core, prefix_tree_acceptor(support))
+            assert (precision, recall) == pytest.approx(want, rel=1e-9)
+            assert distinct == len(support)
 
     def test_aggregates_recompute_from_per_replicate(self, model_dfa, observed_log):
         spec = EstimatorSpec(

@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 import helpers
 from genboot import cli
-from genboot.automata import accepts, dfg_to_dfa, log_to_dfa
+from genboot.automata import accepts, log_to_dfa
 from genboot.cli import (
     bundled_path,
     main,

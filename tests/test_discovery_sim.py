@@ -12,7 +12,7 @@ from genboot.discovery_sim import (
     discover_dfg,
     simulate_log,
 )
-from genboot.errors import AllFiltered, EmptyLog, RetryExhausted, Unreachable
+from genboot.errors import EmptyLog, RetryExhausted, Unreachable
 
 
 def t(text: str) -> Trace:

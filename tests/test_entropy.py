@@ -2,25 +2,35 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import helpers
 from genboot.automata import (
     Dfa,
+    dfg_to_dfa,
     intersect,
     log_to_dfa,
     prefix_tree_acceptor,
     trim,
 )
 from genboot.core import EventLog, Trace
+from genboot.discovery_sim import DiscoveryConfig, WalkConfig, discover_dfg, simulate_log
 from genboot.entropy import (
+    _finite_growth,
+    _growth_rate,
     _short_circuit,
     growth_oracle,
+    log_entropy,
+    log_measures,
     model_system_measures,
     model_system_precision,
     model_system_recall,
     topological_entropy,
 )
-from genboot.errors import EmptyLanguage
+from genboot.errors import EmptyLanguage, RetryExhausted
 
 # spectral radius of the example model's short-circuited automaton,
 # computed independently by long-horizon walk counting
@@ -41,6 +51,122 @@ def complete_two_node_dfa() -> Dfa:
         start=0,
         accepting=frozenset({1}),
     )
+
+
+def dense_radius(a: Dfa) -> float:
+    """Largest eigenvalue modulus of the short-circuit matrix, by a dense
+    eigensolver; 0 for an empty language."""
+    core = trim(a)
+    if not core.accepting:
+        return 0.0
+    return float(np.max(np.abs(np.linalg.eigvals(_short_circuit(core).toarray()))))
+
+
+def renewal(lengths):
+    """The renewal function F(x) = sum of x**(len + 1) over the words."""
+    counts = np.bincount(np.asarray(lengths, dtype=np.intp))
+    return lambda x: counts @ x ** np.arange(1, len(counts) + 1)
+
+
+# finite trace sets: the empty trace, single traces, and short and long
+# traces together
+words = st.one_of(
+    st.just(""),
+    st.text("abc", min_size=1, max_size=3),
+    st.text("ab", min_size=10, max_size=40),
+)
+trace_sets = st.lists(words, min_size=1, max_size=8, unique=True).map(
+    lambda texts: [t(text) for text in texts]
+)
+
+
+class TestFiniteGrowth:
+    @given(trace_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_power_iteration_on_the_prefix_tree(self, traces):
+        rho, _ = _finite_growth([len(w) for w in traces])
+        # power iteration stops when successive estimates agree, which is
+        # no error bound: on the lengths {19, 36} it misses the root by
+        # 4.8e-6 relative, where a dense solver agrees to 1e-15
+        assert rho == pytest.approx(
+            _growth_rate(prefix_tree_acceptor(traces))[0], rel=1e-4
+        )
+
+    @given(trace_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dense_eigenvalues(self, traces):
+        core = trim(prefix_tree_acceptor(traces))
+        assume(len(core.states) <= 200)
+        rho, _ = _finite_growth([len(w) for w in traces])
+        assert rho == pytest.approx(dense_radius(core), rel=1e-11)
+
+    @given(trace_sets)
+    @settings(max_examples=200, deadline=None)
+    def test_brackets_the_root_between_adjacent_floats(self, traces):
+        lengths = [len(w) for w in traces]
+        rho, steps = _finite_growth(lengths)
+        f = renewal(lengths)
+        # rho = 1/hi, where F(lo) < 1 <= F(hi) and lo is the float below hi
+        x = 1.0 / rho
+        assert any(
+            1.0 / hi == rho and f(np.nextafter(hi, 0.0)) < 1.0 <= f(hi)
+            for hi in (np.nextafter(x, 0.0), x, np.nextafter(x, 2.0))
+        )
+        # three letters allow at most 3**l words of length l, so the root
+        # is at least 1/4 and about 55 halvings reach adjacent floats
+        assert 1 <= steps <= 64
+
+    def test_two_chains_where_power_iteration_drifts(self):
+        # the root of x**20 + x**37 = 1, to 40 digits
+        rho, _ = _finite_growth([19, 36])
+        assert rho == pytest.approx(1.0254324629019403603, rel=2e-16)
+
+    @pytest.mark.parametrize("length", [0, 1, 7, 60])
+    def test_a_single_trace_grows_at_exactly_one(self, length):
+        assert _finite_growth([length])[0] == 1.0
+
+    def test_empty_language_raises(self):
+        with pytest.raises(EmptyLanguage):
+            _finite_growth([])
+        with pytest.raises(EmptyLanguage):
+            log_entropy(EventLog(()))
+
+
+class TestLogMeasures:
+    def test_bundled_log_matches_its_automaton(self, model_dfa, system_dfa, observed_log):
+        log_dfa = log_to_dfa(observed_log)
+        assert log_entropy(observed_log).value == pytest.approx(
+            topological_entropy(log_dfa).value, rel=1e-9
+        )
+        for m in (model_dfa, system_dfa):
+            assert log_measures(m, observed_log) == pytest.approx(
+                model_system_measures(m, log_dfa), rel=1e-9
+            )
+
+    def test_a_log_the_model_rejects_measures_zero(self, model_dfa):
+        log = EventLog.from_counts({t("zz"): 2, t(""): 1})
+        assert log_measures(model_dfa, log) == (0.0, 0.0)
+
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_eigenvalues_of_the_product(self, seed):
+        # the model is discovered from the log's more frequent half, so it
+        # accepts some of the log's traces and may accept others
+        rng = np.random.default_rng(seed)
+        graph = helpers.random_dfg(rng, max_actions=6)
+        try:
+            log = simulate_log(graph, WalkConfig(trace_count=12, max_length=12), rng)
+        except RetryExhausted:
+            return
+        model = dfg_to_dfa(discover_dfg(log, DiscoveryConfig(filter_fraction=0.5)))
+        pta = prefix_tree_acceptor(log.support)
+        if len(pta.states) > 200:
+            return
+        rho_m, _ = _growth_rate(model)
+        rho_i = dense_radius(intersect(model, pta))
+        precision, recall = log_measures(model, log)
+        assert precision == pytest.approx(rho_i / rho_m, rel=1e-11)
+        assert recall == pytest.approx(rho_i / dense_radius(pta), rel=1e-11)
 
 
 class TestShortCircuit:
