@@ -116,7 +116,7 @@ class TestFiniteGrowth:
         # is at least 1/4 and about 55 halvings reach adjacent floats
         assert 1 <= steps <= 64
 
-    def test_two_chains_where_power_iteration_drifts(self):
+    def test_two_chains_match_a_forty_digit_root(self):
         # the root of x**20 + x**37 = 1, to 40 digits
         rho, _ = _finite_growth([19, 36])
         assert rho == pytest.approx(1.0254324629019403603, rel=2e-16)
