@@ -24,7 +24,6 @@ from .bootstrap import (
     aggregate,
     bootstrap_generalization,
 )
-from .cli import bundled_path, read_dfg, read_log
 from .core import (
     EMPTY_TRACE,
     EventLog,
@@ -60,6 +59,7 @@ from .errors import (
     WorkerDied,
     ZeroDenominator,
 )
+from .formats import bundled_path, read_dfg, read_log
 from .sampling import (
     BreedingSite,
     SamplerConfig,

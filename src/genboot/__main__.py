@@ -1,0 +1,8 @@
+"""``python -m genboot``: the ``genboot`` command."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -18,15 +18,18 @@ consistent with the others.
 The breeding engine is int-coded: each distinct trace is interned once, as
 its action tuple, under an integer id, and crossover splices the tuples, so
 no ``Trace`` is built (nor its actions validated) until a replicate is
-drawn.  A rank array over the ids holds the canonical order; newly
-interned traces are inserted into it by bisection, and nothing is sorted by
-trace per pass.  The engine breeds a block of replicates in lockstep: each
-replicate keeps its own generator and draws exactly what it would draw
-alone, then a gather and a row sort move the whole block a generation
-forward, and the block's generations are pooled as dense counts, one row
-per replicate and one column per interned trace.  Ids reach a draw only
-through the canonical order, so a replicate's output does not depend on
-which replicates share its block.
+drawn.  A bred pair's sites are counted from a k-gram index of its two
+traces, and a site's offspring are bred, and interned, only when a draw
+first selects that site.  A rank array over the ids holds the canonical
+order; newly interned traces are inserted into it by bisection, and
+nothing is sorted by trace per pass.  The engine breeds a block of
+replicates in lockstep: each replicate keeps its own generator and draws
+exactly what it would draw alone, then a gather and a row sort move the
+whole block a generation forward, and the block's generations are pooled
+as dense counts, one row per replicate and one column per interned trace.
+Ids reach a draw only through the canonical order (and so neither the
+order in which traces are interned nor which of them are), so a
+replicate's output does not depend on which replicates share its block.
 """
 
 from __future__ import annotations
@@ -102,16 +105,21 @@ def breeding_sites(t1: Trace, t2: Trace, k: int) -> list[BreedingSite]:
     """
     if k < 1:
         raise ValueError(f"subtrace length must be >= 1, got {k}")
-    return [BreedingSite(i + 1, j + 1) for i, j in _sites(t1.actions, t2.actions, k)]
+    a1, starts = t1.actions, _kgram_starts(t2.actions, k)
+    return [
+        BreedingSite(i + 1, j + 1)
+        for i in range(len(a1) - k + 1)
+        for j in starts.get(a1[i : i + k], ())
+    ]
 
 
-def _sites(a1: tuple, a2: tuple, k: int) -> list[tuple[int, int]]:
-    """The 0-indexed starts of the length-``k`` windows that two action
-    tuples share, in the order of ``breeding_sites``."""
+def _kgram_starts(actions: tuple, k: int) -> dict[tuple, list[int]]:
+    """The 0-indexed starts of each length-``k`` window of an action tuple,
+    ascending, keyed by the window."""
     starts: dict[tuple, list[int]] = {}
-    for j in range(len(a2) - k + 1):
-        starts.setdefault(a2[j : j + k], []).append(j)
-    return [(i, j) for i in range(len(a1) - k + 1) for j in starts.get(a1[i : i + k], ())]
+    for j in range(len(actions) - k + 1):
+        starts.setdefault(actions[j : j + k], []).append(j)
+    return starts
 
 
 def crossover(t1: Trace, p1: int, t2: Trace, p2: int, k: int) -> Trace:
@@ -128,6 +136,8 @@ def crossover(t1: Trace, p1: int, t2: Trace, p2: int, k: int) -> Trace:
 # Sorts after every pair key (first id << 32 | second id, with ids far below
 # 2**31); it ends the key array, so every lookup lands on a valid position.
 _END = np.iinfo(np.int64).max
+# Marks a site slot whose offspring have not been bred yet; ids are >= 0.
+_UNBRED = -1
 
 
 class _BreedingEngine:
@@ -135,11 +145,18 @@ class _BreedingEngine:
 
     ``table`` holds the interned traces as action tuples, and ``kid_cache``
     maps every (first id, second id) pair that passed the p gate to its
-    number of breeding sites.  The offspring themselves sit in flat arrays:
-    per sorted pair key a count and an offset into ``_kid1``/``_kid2``, one
-    child pair per site, where a pair without sites is stored as its own
-    parents.  Memory grows with the traces interned and the pairs bred, and
-    a block's pool holds one count per replicate and interned trace.
+    number of breeding sites.  A pair's sites are counted, not listed, from
+    the k-gram index of its two traces (each window's start positions,
+    built once per trace on its first pairing): the sum, over the windows
+    they share, of the occurrences in one times those in the other.  The
+    offspring sit in flat arrays: per sorted pair key a count and an offset
+    into the columns of ``_kids``, one slot (a column of first and second
+    child) per site, where a pair without sites is stored as its own
+    parents.  A slot is bred, and its two children interned, only when a
+    draw first selects it, so the table holds the base log and the
+    offspring actually drawn.  Memory grows with the traces interned and
+    the sites of the pairs bred, and a block's pool holds one count per
+    replicate and interned trace.
     """
 
     def __init__(self, base: EventLog, k: int, p: float):
@@ -153,11 +170,12 @@ class _BreedingEngine:
         self.iters = (base.size + 1) // 2
         # (id1, id2) -> number of breeding sites
         self.kid_cache: dict[tuple[int, int], int] = {}
+        # id -> the starts of each of its k-grams, built on its first pairing
+        self._kgrams: dict[int, dict[tuple, list[int]]] = {}
         self._keys = np.array([_END], dtype=np.int64)
         self._count = np.zeros(1, dtype=np.int64)
         self._offset = np.zeros(1, dtype=np.int64)
-        self._kid1 = np.empty(0, dtype=np.int64)
-        self._kid2 = np.empty(0, dtype=np.int64)
+        self._kids = np.empty((2, 0), dtype=np.int64)
         self._by_rank = np.empty(0, dtype=np.int64)
         self.base_expand = self._expand(self.base_counter)
 
@@ -193,39 +211,72 @@ class _BreedingEngine:
         ids = ids[np.argsort(rank[ids])]
         return np.repeat(ids, [counter[i] for i in ids.tolist()])
 
-    def _offspring(self, a: int, b: int) -> tuple:
+    def _kgram_index(self, i: int) -> dict[tuple, list[int]]:
+        """The k-gram starts of trace i, built on its first use."""
+        got = self._kgrams.get(i)
+        if got is None:
+            got = self._kgrams[i] = _kgram_starts(self.table[i], self.k)
+        return got
+
+    def _site_count(self, a: int, b: int) -> int:
+        """``len(breeding_sites)`` of the pair (a, b), from the k-gram index."""
+        grams_a, grams_b = self._kgram_index(a), self._kgram_index(b)
+        if len(grams_a) > len(grams_b):
+            grams_a, grams_b = grams_b, grams_a
+        return sum(len(at) * len(grams_b.get(w, ())) for w, at in grams_a.items())
+
+    def _nth_site(self, a: int, b: int, s: int) -> tuple[int, int]:
+        """The 0-indexed starts (i, j) of the s-th site of the pair (a, b) in
+        ``breeding_sites`` order: walk a's windows, skipping each one's
+        occurrences in b, then take one occurrence in b."""
+        t1, starts, k = self.table[a], self._kgram_index(b), self.k
+        for i in range(len(t1) - k + 1):
+            at = starts.get(t1[i : i + k], ())
+            if s < len(at):
+                return i, at[s]
+            s -= len(at)
+        raise IndexError("site number out of range")
+
+    def _children(self, a: int, b: int, s: int) -> tuple[int, int]:
+        """The ids of the two offspring of the pair (a, b) at its s-th site."""
+        i, j = self._nth_site(a, b, s)
         t1, t2, k = self.table[a], self.table[b], self.k
-        return tuple(
-            (self.intern(t1[: i + k] + t2[j + k :]), self.intern(t2[: j + k] + t1[i + k :]))
-            for i, j in _sites(t1, t2, k)
-        )
+        return self.intern(t1[: i + k] + t2[j + k :]), self.intern(t2[: j + k] + t1[i + k :])
 
     def _add_pairs(self, keys: np.ndarray) -> None:
-        """Breed each (sorted, new) pair key and merge it into the table."""
+        """Count the sites of each (sorted, new) pair key and merge it into
+        the table with unbred slots; a pair without sites gets one slot
+        holding its parents."""
         counts, kid1, kid2 = [], [], []
         for key in keys.tolist():
             a, b = key >> 32, key & 0xFFFFFFFF
-            kids = self._offspring(a, b)
-            self.kid_cache[(a, b)] = len(kids)
-            pairs = kids or ((a, b),)
-            counts.append(len(pairs))
-            kid1.extend(c1 for c1, _ in pairs)
-            kid2.extend(c2 for _, c2 in pairs)
-        offsets = self._kid1.size + np.cumsum(counts) - counts
+            sites = self.kid_cache[(a, b)] = self._site_count(a, b)
+            counts.append(max(sites, 1))
+            kid1 += [_UNBRED] * sites or [a]
+            kid2 += [_UNBRED] * sites or [b]
+        offsets = self._kids.shape[1] + np.cumsum(counts) - counts
         at = np.searchsorted(self._keys, keys)
         self._keys = np.insert(self._keys, at, keys)
         self._count = np.insert(self._count, at, counts)
         self._offset = np.insert(self._offset, at, offsets)
-        self._kid1 = np.concatenate((self._kid1, np.array(kid1, dtype=np.int64)))
-        self._kid2 = np.concatenate((self._kid2, np.array(kid2, dtype=np.int64)))
+        fresh = np.array([kid1, kid2], dtype=np.int64)
+        self._kids = np.concatenate((self._kids, fresh), axis=1)
+
+    def _breed_slots(self, site: np.ndarray, pos: np.ndarray) -> None:
+        """Breed the unbred slots ``site`` of the pairs at positions ``pos``."""
+        kids, keys, offsets = self._kids, self._keys, self._offset
+        for slot, at in zip(site.tolist(), pos.tolist()):
+            if kids[0, slot] == _UNBRED:  # a slot drawn twice is bred once
+                key, nth = int(keys[at]), slot - int(offsets[at])
+                kids[:, slot] = self._children(key >> 32, key & 0xFFFFFFFF, nth)
 
     def _lookup(self, keys: np.ndarray) -> np.ndarray:
         """Positions of pair keys in the table, breeding the missing pairs."""
-        pos = np.searchsorted(self._keys, keys)
+        pos = self._keys.searchsorted(keys)
         missing = self._keys[pos] != keys
         if missing.any():
             self._add_pairs(np.unique(keys[missing]))
-            pos = np.searchsorted(self._keys, keys)
+            pos = self._keys.searchsorted(keys)
         return pos
 
     def _generation(self, cur: np.ndarray, rngs) -> np.ndarray:
@@ -245,7 +296,8 @@ class _BreedingEngine:
             rng.random(out=uniform[r])  # the gates, then the site selectors
         kids[0] = self.base_expand[kids[0]]
         kids[1] = cur[np.arange(len(rngs))[:, None], kids[1]]
-        first, second = kids.reshape(2, -1)
+        parents = kids.reshape(2, -1)
+        first, second = parents
         selects = uniform[:, 1].ravel()
         if self.p >= 1.0:
             bred = slice(None)
@@ -253,8 +305,14 @@ class _BreedingEngine:
             bred = np.flatnonzero(uniform[:, 0].ravel() < self.p)
         pos = self._lookup((first[bred] << 32) | second[bred])
         site = self._offset[pos] + (selects[bred] * self._count[pos]).astype(np.int64)
-        first[bred] = self._kid1[site]
-        second[bred] = self._kid2[site]
+        got = self._kids.take(site, axis=1)
+        # the one check per generation: ids are >= 0, so the least drawn
+        # child is _UNBRED exactly when some drawn slot is unbred
+        if np.minimum.reduce(got, axis=None, initial=0) == _UNBRED:
+            unbred = np.flatnonzero(got[0] == _UNBRED)
+            self._breed_slots(site[unbred], pos[unbred])
+            got = self._kids.take(site, axis=1)
+        parents[:, bred] = got
         return kids
 
     def breed_pass(self, cur: dict[int, int], rng: np.random.Generator) -> dict[int, int]:
@@ -284,7 +342,8 @@ class _BreedingEngine:
             np.add.at(pool, (replicates, kids), 1)
             rank, by_rank = self._ranks()
             ranks = rank[kids.transpose(1, 0, 2)].reshape(len(rngs), -1)
-            cur = by_rank[np.sort(ranks, axis=1)]
+            ranks.sort(axis=1)
+            cur = by_rank[ranks]
         return [self._draw(row, n, rng) for row, rng in zip(pool, rngs)]
 
     def _draw(self, row: np.ndarray, n: int, rng: np.random.Generator) -> EventLog:

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from genboot.automata import dfg_to_dfa
-from genboot.cli import bundled_path, read_dfg, read_log
+from genboot.formats import bundled_path, read_dfg, read_log
 
 
 @pytest.fixture(scope="session")

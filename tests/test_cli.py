@@ -1,22 +1,21 @@
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 import helpers
 from genboot import cli
 from genboot.automata import accepts, log_to_dfa
-from genboot.cli import (
-    bundled_path,
-    main,
-    read_dfg,
-    read_log,
-    write_dfg,
-    write_log,
-)
+from genboot.cli import main
 from genboot.core import EventLog, Trace
 from genboot.discovery_sim import DiscoveryConfig, discover_dfg
 from genboot.entropy import model_system_measures, topological_entropy
 from genboot.errors import ParseError
+from genboot.formats import bundled_path, read_dfg, read_log, write_dfg, write_log
 
 MODEL = str(bundled_path("model.dfg"))
 SYSTEM = str(bundled_path("system.dfg"))
@@ -391,3 +390,14 @@ class TestUsage:
     def test_bundled_files_exist(self):
         for name in ("model.dfg", "system.dfg", "observed.log"):
             assert bundled_path(name).is_file()
+
+    @pytest.mark.parametrize("module", ["genboot", "genboot.cli"])
+    def test_runs_as_a_module_without_warnings(self, module):
+        paths = [str(pathlib.Path(cli.__file__).resolve().parents[1])]
+        paths += filter(None, [os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "entropy", "--dfg", MODEL],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "entropy 0.453095\n", "")

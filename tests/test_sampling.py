@@ -316,6 +316,51 @@ class TestSampleWithBreeding:
             sample_with_breeding(EventLog(()), 5, cfg, np.random.default_rng(0))
 
 
+class TestEngineSites:
+    """The engine counts a pair's sites from its k-gram index and breeds one
+    site at a time; ``breeding_sites`` and ``crossover`` are the oracle."""
+
+    words = st.lists(st.sampled_from("abc"), max_size=7).map(lambda xs: Trace(tuple(xs)))
+
+    @given(words, words, st.sampled_from((1, 2, 3)))
+    @settings(max_examples=150, deadline=None)
+    def test_sites_match_the_oracle(self, t1, t2, k):
+        engine = _BreedingEngine(EventLog.from_counts({t1: 1, t2: 1}), k, 1.0)
+        a, b = engine.index[t1.actions], engine.index[t2.actions]
+        sites = breeding_sites(t1, t2, k)
+        assert engine._site_count(a, b) == len(sites)
+        for s, site in enumerate(sites):
+            assert engine._nth_site(a, b, s) == (site.p1 - 1, site.p2 - 1)
+            c1, c2 = engine._children(a, b, s)
+            assert engine.table[c1] == crossover(t1, site.p1, t2, site.p2, k).actions
+            assert engine.table[c2] == crossover(t2, site.p2, t1, site.p1, k).actions
+
+    @given(
+        small_logs(),
+        st.sampled_from((1, 2, 3)),
+        st.sampled_from((0.3, 1.0)),
+        st.integers(0, 8),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_only_drawn_offspring_are_interned(self, log, k, p, g, size, seed):
+        # each replicate's generations are a chain of log_breeding passes on
+        # its own stream; the table must hold exactly their traces and the log's
+        seeds = np.random.SeedSequence(seed).spawn(size)
+        engine = _BreedingEngine(log, k, p)
+        engine.sample(5, g, [np.random.default_rng(s) for s in seeds])
+        expected = set(log.support)
+        for child in seeds:
+            rng, cur = np.random.default_rng(child), log
+            for _ in range(g):
+                cur = log_breeding(log, cur, k, p, rng)
+                expected |= set(cur.support)
+        assert sorted(engine.table) == sorted(trace.actions for trace in expected)
+        for (a, b), count in engine.kid_cache.items():
+            assert count == len(breeding_sites(Trace(engine.table[a]), Trace(engine.table[b]), k))
+
+
 class TestLockstepBlocks:
     @given(
         small_logs(),
