@@ -292,10 +292,9 @@ class _BreedingEngine:
         uniform = np.empty((len(rngs), 2, iters))
         for r, rng in enumerate(rngs):
             kids[0, r] = rng.integers(0, self.base_expand.size, iters)
-            kids[1, r] = rng.integers(0, cur.shape[1], iters)
+            kids[1, r] = cur[r][rng.integers(0, cur.shape[1], iters)]
             rng.random(out=uniform[r])  # the gates, then the site selectors
         kids[0] = self.base_expand[kids[0]]
-        kids[1] = cur[np.arange(len(rngs))[:, None], kids[1]]
         parents = kids.reshape(2, -1)
         first, second = parents
         selects = uniform[:, 1].ravel()
