@@ -27,9 +27,9 @@ replicates in lockstep: each replicate keeps its own generator and draws
 exactly what it would draw alone, then a gather and a row sort move the
 whole block a generation forward, and the block's generations are pooled
 as dense counts, one row per replicate and one column per interned trace.
-Ids reach a draw only through the canonical order (and so neither the
-order in which traces are interned nor which of them are), so a
-replicate's output does not depend on which replicates share its block.
+Ids reach a draw only through the canonical order, so a replicate's
+output depends neither on the order in which traces are interned nor on
+which replicates share its block.
 """
 
 from __future__ import annotations
@@ -155,8 +155,8 @@ class _BreedingEngine:
     parents.  A slot is bred, and its two children interned, only when a
     draw first selects it, so the table holds the base log and the
     offspring actually drawn.  Memory grows with the traces interned and
-    the sites of the pairs bred, and a block's pool holds one count per
-    replicate and interned trace.
+    the sites of the pairs bred (the slot buffer doubles when full), and a
+    block's pool holds one count per replicate and interned trace.
     """
 
     def __init__(self, base: EventLog, k: int, p: float):
@@ -175,7 +175,9 @@ class _BreedingEngine:
         self._keys = np.array([_END], dtype=np.int64)
         self._count = np.zeros(1, dtype=np.int64)
         self._offset = np.zeros(1, dtype=np.int64)
+        # the slots, in a buffer that doubles when full, and how many are used
         self._kids = np.empty((2, 0), dtype=np.int64)
+        self._slots = 0
         self._by_rank = np.empty(0, dtype=np.int64)
         self.base_expand = self._expand(self.base_counter)
 
@@ -247,20 +249,24 @@ class _BreedingEngine:
         """Count the sites of each (sorted, new) pair key and merge it into
         the table with unbred slots; a pair without sites gets one slot
         holding its parents."""
-        counts, kid1, kid2 = [], [], []
-        for key in keys.tolist():
-            a, b = key >> 32, key & 0xFFFFFFFF
-            sites = self.kid_cache[(a, b)] = self._site_count(a, b)
-            counts.append(max(sites, 1))
-            kid1 += [_UNBRED] * sites or [a]
-            kid2 += [_UNBRED] * sites or [b]
-        offsets = self._kids.shape[1] + np.cumsum(counts) - counts
+        firsts, seconds = keys >> 32, keys & 0xFFFFFFFF
+        pairs = list(zip(firsts.tolist(), seconds.tolist()))
+        sites = np.array([self._site_count(a, b) for a, b in pairs], dtype=np.int64)
+        self.kid_cache.update(zip(pairs, sites.tolist()))
+        counts = np.maximum(sites, 1)
+        offsets = self._slots + np.cumsum(counts) - counts
+        used, self._slots = self._slots, self._slots + int(counts.sum())
+        if self._slots > self._kids.shape[1]:
+            grown = np.empty((2, max(self._slots, 2 * self._kids.shape[1])), dtype=np.int64)
+            grown[:, :used] = self._kids[:, :used]
+            self._kids = grown
+        self._kids[:, used : self._slots] = _UNBRED
+        barren = sites == 0
+        self._kids[:, offsets[barren]] = firsts[barren], seconds[barren]
         at = np.searchsorted(self._keys, keys)
         self._keys = np.insert(self._keys, at, keys)
         self._count = np.insert(self._count, at, counts)
         self._offset = np.insert(self._offset, at, offsets)
-        fresh = np.array([kid1, kid2], dtype=np.int64)
-        self._kids = np.concatenate((self._kids, fresh), axis=1)
 
     def _breed_slots(self, site: np.ndarray, pos: np.ndarray) -> None:
         """Breed the unbred slots ``site`` of the pairs at positions ``pos``."""
