@@ -301,8 +301,8 @@ class _BreedingEngine:
             kids[1, r] = cur[r][rng.integers(0, cur.shape[1], iters)]
             rng.random(out=uniform[r])  # the gates, then the site selectors
         kids[0] = self.base_expand[kids[0]]
-        parents = kids.reshape(2, -1)
-        first, second = parents
+        pairs = kids.reshape(2, -1)
+        first, second = pairs
         selects = uniform[:, 1].ravel()
         if self.p >= 1.0:
             bred = slice(None)
@@ -317,7 +317,7 @@ class _BreedingEngine:
             unbred = np.flatnonzero(got[0] == _UNBRED)
             self._breed_slots(site[unbred], pos[unbred])
             got = self._kids.take(site, axis=1)
-        parents[:, bred] = got
+        pairs[:, bred] = got
         return kids
 
     def breed_pass(self, cur: dict[int, int], rng: np.random.Generator) -> dict[int, int]:
