@@ -247,7 +247,7 @@ def minimize(a: Dfa) -> Dfa:
     src, col, dst = np.array(edges, dtype=np.intp).reshape(-1, 3).T
     table[src, col] = dst
     block = np.fromiter((q in a.accepting for q in states), dtype=np.intp, count=n)
-    count = len(np.unique(block))
+    count = len(set(block.tolist()))
     while True:
         # the sink's block, -1, differs from every state's block
         signature = np.vstack((np.append(block, -1)[table].T, block))

@@ -25,12 +25,13 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .automata import Dfa, accepts, minimize
 from .core import EventLog
 from .entropy import _finite_measures, _growth_rate
 from .errors import EmptyData, EmptyLanguage, EmptyLog, GenbootError, WorkerDied
-from .sampling import sample_block_with_breeding, sample_with_replacement
+from .sampling import SamplerConfig, sample_block_with_breeding, sample_with_replacement
 
 _SAMPLERS = ("replacement", "breeding")
 
@@ -115,7 +116,7 @@ def _block_task(args):
     verdicts: dict = {}  # trace -> whether the model accepts it
     rows = []
     for lo in range(0, len(seeds), _LOCKSTEP):
-        rngs = [np.random.default_rng(seed) for seed in seeds[lo : lo + _LOCKSTEP]]
+        rngs = [default_rng(seed) for seed in seeds[lo : lo + _LOCKSTEP]]
         if lsm == "breeding":
             replicates = sample_block_with_breeding(log, cfg.n, cfg, rngs)
         else:
@@ -166,10 +167,10 @@ def bootstrap_generalization(
         raise EmptyLanguage("the model accepts no trace")
     rho_model, _ = _growth_rate(model_core)
 
-    if isinstance(seed, np.random.SeedSequence):
+    if isinstance(seed, SeedSequence):
         sequence = seed
     else:
-        sequence = np.random.SeedSequence(seed)
+        sequence = SeedSequence(seed)
     children = sequence.spawn(spec.m)
     blocks = min(workers, spec.m)
     bounds = [spec.m * b // blocks for b in range(blocks + 1)]

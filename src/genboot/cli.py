@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-import numpy as np
+from numpy.random import SeedSequence, default_rng
 
 from .automata import dfg_to_dfa
 from .bootstrap import EstimatorSpec, aggregate, bootstrap_generalization
@@ -74,7 +74,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_sample(args) -> int:
     log = read_log(args.log)
-    rng = np.random.default_rng(args.seed)
+    rng = default_rng(args.seed)
     if args.lsm == "replacement":
         replicate = sample_with_replacement(log, args.n, rng)
     else:
@@ -132,7 +132,7 @@ def _cmd_reproduce(args) -> int:
     log = read_log(log_path)
     master = args.seed
     if master is None:
-        master = int(np.random.SeedSequence().entropy)
+        master = int(SeedSequence().entropy)
 
     sizes = _PANEL_SIZES_FULL if args.full else _PANEL_SIZES
     generations = _PANEL_GENERATIONS_FULL if args.full else _PANEL_GENERATIONS
@@ -153,7 +153,7 @@ def _cmd_reproduce(args) -> int:
             model,
             log,
             spec,
-            seed=np.random.SeedSequence([master, n, g]),
+            seed=SeedSequence([master, n, g]),
             workers=args.workers,
         )
         elapsed = time.perf_counter() - started

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .automata import Dfg, INPUT_MARKER, OUTPUT_MARKER
 from .core import EventLog, Trace
@@ -107,7 +108,7 @@ def simulate_log(graph: Dfg, cfg: WalkConfig, rng=None) -> EventLog:
     a node without outgoing arcs, or repeatedly exceeding ``max_length``).
     """
     if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        rng = default_rng(cfg.seed)
 
     adjacency: dict = {}
     for src, dst in graph.arcs:

@@ -40,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .automata import Dfa, accepts, intersect, trim
 from .core import EventLog
@@ -59,35 +58,47 @@ class EntropyValue:
     iterations: int
 
 
-def _short_circuit(core: Dfa) -> sp.csr_matrix:
-    """Adjacency matrix of a trimmed automaton's transitions plus one return
-    edge from each accepting state to the start, states indexed in ``repr``
-    order; parallel edges sum into one entry."""
+def _short_circuit(core: Dfa) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The short-circuit matrix of a trimmed automaton as ``(n, rows, cols,
+    weights)``: its transitions plus one return edge from each accepting
+    state to the start, states indexed in ``repr`` order.  Parallel edges
+    sum into one weight, and the entries are sorted row-major with columns
+    ascending inside a row, the order a CSR matrix stores them in."""
     index = {q: i for i, q in enumerate(sorted(core.states, key=repr))}
-    edges = [(index[q], index[r]) for (q, _), r in core.transitions.items()]
-    edges += [(index[q], index[core.start]) for q in core.accepting]
-    rows, cols = np.array(edges, dtype=np.intp).reshape(-1, 2).T
     n = len(index)
-    return sp.csr_matrix((np.ones(len(edges)), (rows, cols)), shape=(n, n))
+    # entry (i, j) as the key n*i + j, so sorting keys sorts row-major
+    keys = [n * index[q] + index[r] for (q, _), r in core.transitions.items()]
+    keys += [n * index[q] + index[core.start] for q in core.accepting]
+    keys, counts = np.unique(np.array(keys, dtype=np.intp), return_counts=True)
+    rows, cols = np.divmod(keys, n)
+    return n, rows, cols, counts.astype(np.float64)
 
 
-def _spectral_radius(a: sp.csr_matrix) -> tuple[float, int]:
-    """Dominant eigenvalue of a non-negative matrix by power iteration.
+def _spectral_radius(
+    n: int, rows: np.ndarray, cols: np.ndarray, weights: np.ndarray
+) -> tuple[float, int]:
+    """Dominant eigenvalue of the non-negative n × n matrix with the given
+    entries, by power iteration.
 
     Iterates on A + I: the shift breaks periodicity (a short-circuited
     automaton is strongly connected but may be periodic) and adds exactly 1
-    to the dominant eigenvalue of a non-negative matrix.
+    to the dominant eigenvalue of a non-negative matrix.  ``A @ x`` is one
+    ``bincount`` over the entries, which adds each row's terms in entry
+    order, as a CSR matrix-vector product does.
     """
-    n = a.shape[0]
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        return np.bincount(rows, weights=weights * x[cols], minlength=n)
+
     x = np.full(n, 1.0 / math.sqrt(n))
-    shifted = a @ x + x
+    shifted = matvec(x) + x
     lam = 0.0
     for it in range(1, POWER_MAX_ITERATIONS + 1):
         norm = np.linalg.norm(shifted)
         if norm == 0.0:
             return 0.0, it
         x = shifted / norm
-        shifted = a @ x + x
+        shifted = matvec(x) + x
         lam_new = float(x @ shifted)
         if abs(lam_new - lam) < POWER_TOLERANCE:
             return lam_new - 1.0, it
@@ -102,7 +113,7 @@ def _growth_rate(a: Dfa) -> tuple[float, int]:
     core = trim(a)
     if not core.accepting:
         raise EmptyLanguage("entropy is undefined for an empty language")
-    rho, iterations = _spectral_radius(_short_circuit(core))
+    rho, iterations = _spectral_radius(*_short_circuit(core))
     # short-circuiting guarantees a cycle, so the true radius is >= 1;
     # clamp tiny numerical undershoot
     return max(rho, 1.0), iterations

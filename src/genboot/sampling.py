@@ -281,7 +281,10 @@ class _BreedingEngine:
         pos = self._keys.searchsorted(keys)
         missing = self._keys[pos] != keys
         if missing.any():
-            self._add_pairs(np.unique(keys[missing]))
+            # sorted distinct keys; a plain np.unique (numpy 2.4) hashes
+            # before it sorts and imports numpy.ma on its first call
+            fresh = np.sort(keys[missing])
+            self._add_pairs(fresh[np.append(True, fresh[1:] != fresh[:-1])])
             pos = self._keys.searchsorted(keys)
         return pos
 

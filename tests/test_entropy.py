@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import helpers
@@ -54,12 +54,19 @@ def complete_two_node_dfa() -> Dfa:
 
 
 def dense_radius(a: Dfa) -> float:
-    """Largest eigenvalue modulus of the short-circuit matrix, by a dense
-    eigensolver; 0 for an empty language."""
+    """Largest eigenvalue modulus of the short-circuit matrix, built densely
+    from the trimmed automaton's transitions and return edges and solved by
+    a dense eigensolver; 0 for an empty language."""
     core = trim(a)
     if not core.accepting:
         return 0.0
-    return float(np.max(np.abs(np.linalg.eigvals(_short_circuit(core).toarray()))))
+    index = {q: i for i, q in enumerate(core.states)}
+    matrix = np.zeros((len(index), len(index)))
+    for (q, _), r in core.transitions.items():
+        matrix[index[q], index[r]] += 1.0
+    for q in core.accepting:
+        matrix[index[q], index[core.start]] += 1.0
+    return float(np.max(np.abs(np.linalg.eigvals(matrix))))
 
 
 def renewal(lengths):
@@ -171,18 +178,22 @@ class TestLogMeasures:
 
 class TestShortCircuit:
     def test_single_trace_cycle(self):
-        a = _short_circuit(trim(prefix_tree_acceptor([t("x")])))
-        assert a.shape == (2, 2)
-        assert a.sum() == 2
+        n, rows, cols, weights = _short_circuit(trim(prefix_tree_acceptor([t("x")])))
+        assert n == 2
+        assert sorted(zip(rows.tolist(), cols.tolist())) == [(0, 1), (1, 0)]
+        assert weights.tolist() == [1.0, 1.0]
 
     def test_empty_trace_self_loop(self):
-        a = _short_circuit(trim(prefix_tree_acceptor([t("")])))
-        assert a.toarray().tolist() == [[1.0]]
+        n, rows, cols, weights = _short_circuit(trim(prefix_tree_acceptor([t("")])))
+        assert (n, rows.tolist(), cols.tolist(), weights.tolist()) == (1, [0], [0], [1.0])
 
     def test_model_matrix(self, model_dfa):
-        a = _short_circuit(trim(model_dfa))
-        assert a.shape == (7, 7)
-        assert a.sum() == 10  # nine transitions plus one return edge
+        n, rows, cols, weights = _short_circuit(trim(model_dfa))
+        assert n == 7
+        assert weights.dtype == np.float64
+        assert weights.sum() == 10  # nine transitions plus one return edge
+        # one entry per (row, column), sorted row-major as CSR stores them
+        assert np.all(np.diff(rows * n + cols) > 0)
 
     def test_parallel_transitions_accumulate(self):
         a = Dfa(
@@ -192,7 +203,36 @@ class TestShortCircuit:
             start=0,
             accepting=frozenset({1}),
         )
-        assert _short_circuit(trim(a))[0, 1] == 2
+        n, rows, cols, weights = _short_circuit(trim(a))
+        assert n == 2
+        assert rows.tolist() == [0, 1]
+        assert cols.tolist() == [1, 0]
+        assert weights.tolist() == [2.0, 1.0]
+
+
+class TestPowerIteration:
+    # The stop rule (successive estimates within 1e-12) is no error bound:
+    # on about 1 in 150 of these automata the first two estimates agree and
+    # the iteration stops after two steps, up to 2.5% off.  Seed 98 gives
+    # the language {cb, db, d}, where it returns 1.53846 against 1.56155.
+    @pytest.mark.xfail(
+        raises=AssertionError, strict=True, reason="power iteration can stop after two steps"
+    )
+    @given(st.integers(min_value=0, max_value=2**32 - 1))
+    @example(seed=98)
+    @settings(max_examples=100, deadline=None)
+    def test_matches_dense_eigenvalues_on_graph_automata(self, seed):
+        # model-like automata are mostly cyclic; their products add states
+        # that no single graph has
+        rng = np.random.default_rng(seed)
+        a = helpers.model_like_dfa(rng, max_actions=8)
+        b = helpers.model_like_dfa(rng, max_actions=8)
+        for automaton in (a, b, intersect(a, b)):
+            core = trim(automaton)
+            if not core.accepting or len(core.states) > 30:
+                continue
+            rho, _ = _growth_rate(core)
+            assert rho == pytest.approx(dense_radius(core), rel=1e-6)
 
 
 class TestTopologicalEntropy:
