@@ -25,10 +25,8 @@ from .bootstrap import (
     bootstrap_generalization,
 )
 from .core import (
-    EMPTY_TRACE,
     EventLog,
     Trace,
-    log_concat,
     prefix,
     subtrace,
     suffix,
@@ -40,8 +38,6 @@ from .entropy import (
     log_entropy,
     log_measures,
     model_system_measures,
-    model_system_precision,
-    model_system_recall,
     topological_entropy,
 )
 from .errors import (
@@ -66,7 +62,6 @@ from .sampling import (
     breeding_sites,
     crossover,
     log_breeding,
-    rand_trace,
     sample_with_breeding,
     sample_with_replacement,
 )
@@ -79,7 +74,6 @@ __all__ = [
     "Dfa",
     "Dfg",
     "DiscoveryConfig",
-    "EMPTY_TRACE",
     "EmptyData",
     "EmptyLanguage",
     "EmptyLog",
@@ -111,17 +105,13 @@ __all__ = [
     "intersect",
     "is_stable",
     "log_breeding",
-    "log_concat",
     "log_entropy",
     "log_measures",
     "log_to_dfa",
     "minimize",
     "model_system_measures",
-    "model_system_precision",
-    "model_system_recall",
     "prefix",
     "prefix_tree_acceptor",
-    "rand_trace",
     "read_dfg",
     "read_log",
     "sample_with_breeding",

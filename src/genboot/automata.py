@@ -137,11 +137,11 @@ def dfg_to_dfa(g: Dfg) -> Dfa:
     )
 
 
-def accepts(a: Dfa, t: Trace) -> bool:
-    """Whether the automaton accepts the trace; unknown actions reject
-    rather than raise."""
+def accepts(a: Dfa, t: Trace | tuple) -> bool:
+    """Whether the automaton accepts the word: a ``Trace`` or a tuple of
+    actions.  Unknown actions reject rather than raise."""
     q = a.start
-    for x in t.actions:
+    for x in t:
         q = a.transitions.get((q, x))
         if q is None:
             return False

@@ -1,20 +1,25 @@
 """Bootstrap estimation of generalization for a discovered model.
 
-The estimator repeatedly resamples the observed log into replicate logs
-(plain resampling or resampling with crossover breeding) and measures
-precision and recall of the model against each replicate's trace language.
-A replicate is a finite language, so it is measured from the lengths of its
-distinct traces and the model's verdict on each (see ``entropy``), against
-the model's growth rate, computed once per estimate.  Replicate measures are
-then aggregated into means with 95% confidence intervals.
+The estimator repeatedly resamples the observed log into replicates and
+measures precision and recall of the model against each replicate's trace
+language.  Both log sampling methods run through the breeding engine of
+``sampling``: plain resampling is breeding for zero generations.  A
+replicate comes back id-coded, as the ids of the distinct traces it hit,
+and a finite language is measured from the lengths of its distinct traces
+and the model's verdict on each (see ``entropy``), against the model's
+growth rate, computed once per estimate.  So no ``Trace`` or ``EventLog``
+is built per replicate: a task judges each distinct action tuple once, and
+a replicate's measures index the task's length and verdict arrays by its
+ids.  Replicate measures are then aggregated into means with 95%
+confidence intervals.
 
 Replicate seeds are spawned from a single master seed.  The replicates are
 split into ``min(workers, m)`` contiguous blocks, one task each.  A task
-breeds its block in lockstep batches of at most ``_LOCKSTEP`` replicates
-(see ``sampling``) and measures each batch one replicate at a time.  A
-replicate's result depends only on its own seed, never on the block or
-batch it shares, so a run with ``workers=8`` is bit-for-bit identical to
-the same run with ``workers=1``.
+samples its block in lockstep batches of at most ``_LOCKSTEP`` replicates,
+one engine per batch (see ``sampling``), and measures each batch one
+replicate at a time.  A replicate's result depends only on its own seed,
+never on the block or batch it shares, so a run with ``workers=8`` is
+bit-for-bit identical to the same run with ``workers=1``.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .automata import Dfa, accepts, minimize
 from .core import EventLog
 from .entropy import _finite_measures, _growth_rate
 from .errors import EmptyData, EmptyLanguage, EmptyLog, GenbootError, WorkerDied
-from .sampling import SamplerConfig, sample_block_with_breeding, sample_with_replacement
+from .sampling import SamplerConfig, _BreedingEngine
 
 _SAMPLERS = ("replacement", "breeding")
 
@@ -112,27 +117,27 @@ _LOCKSTEP = 4
 
 def _block_task(args):
     """Measure a block of replicates; runs in the calling or a worker process."""
-    start, seeds, log, lsm, cfg, model_core, rho_model = args
-    verdicts: dict = {}  # trace -> whether the model accepts it
+    start, seeds, log, cfg, g, model_core, rho_model = args
+    verdicts: dict = {}  # action tuple -> whether the model accepts it
     rows = []
     for lo in range(0, len(seeds), _LOCKSTEP):
+        engine = _BreedingEngine(log, cfg.k, cfg.p)
         rngs = [default_rng(seed) for seed in seeds[lo : lo + _LOCKSTEP]]
-        if lsm == "breeding":
-            replicates = sample_block_with_breeding(log, cfg.n, cfg, rngs)
-        else:
-            replicates = (sample_with_replacement(log, cfg.n, rng) for rng in rngs)
-        for offset, replicate in enumerate(replicates, start + lo):
-            support = replicate.support
-            for t in support:
-                if t not in verdicts:
-                    verdicts[t] = accepts(model_core, t)
+        replicates = engine.sample(cfg.n, g, rngs)
+        # per interned id, filled for the ids the batch's replicates hit
+        lengths = np.zeros(len(engine.table), dtype=np.intp)
+        verdict = np.zeros(len(engine.table), dtype=bool)
+        for i in set().union(*(ids.tolist() for ids, _ in replicates)):
+            word = engine.table[i]
+            if word not in verdicts:
+                verdicts[word] = accepts(model_core, word)
+            lengths[i], verdict[i] = len(word), verdicts[word]
+        for offset, (ids, _) in enumerate(replicates, start + lo):
             try:
-                precision, recall = _finite_measures(
-                    rho_model, support, [verdicts[t] for t in support]
-                )
+                precision, recall = _finite_measures(rho_model, lengths[ids], verdict[ids])
             except GenbootError as exc:
                 raise type(exc)(f"replicate {offset}: {exc}") from exc
-            rows.append((precision, recall, len(support)))
+            rows.append((precision, recall, ids.size))
     return rows
 
 
@@ -148,10 +153,10 @@ def bootstrap_generalization(
     """Estimate generalization of ``model`` against replicates of ``log``.
 
     ``model`` is the automaton of the discovered model (as produced by
-    ``dfg_to_dfa``).  For each of ``spec.m`` replicates, a fresh log is
-    drawn by the configured sampling method and the model's precision and
-    recall against the replicate's trace language are recorded; the triple
-    lists are aggregated with :func:`aggregate`.
+    ``dfg_to_dfa``).  For each of ``spec.m`` replicates, drawn by the
+    configured sampling method, the model's precision and recall against
+    the replicate's trace language and its number of distinct traces are
+    recorded; the triple lists are aggregated with :func:`aggregate`.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; when omitted,
     the run is seeded from OS entropy.  Replicates are independent; split into
@@ -174,8 +179,10 @@ def bootstrap_generalization(
     children = sequence.spawn(spec.m)
     blocks = min(workers, spec.m)
     bounds = [spec.m * b // blocks for b in range(blocks + 1)]
+    # plain resampling is breeding for zero generations
+    g = spec.cfg.g if spec.lsm == "breeding" else 0
     tasks = [
-        (lo, children[lo:hi], log, spec.lsm, spec.cfg, model_core, rho_model)
+        (lo, children[lo:hi], log, spec.cfg, g, model_core, rho_model)
         for lo, hi in zip(bounds, bounds[1:])
     ]
 

@@ -13,7 +13,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import EmptyLog, OutOfBounds
+from .errors import OutOfBounds
 
 # Action names are plain text tokens.  "i" and "o" are reserved for the
 # input/output markers of directly-follows graphs and may not name actions.
@@ -65,9 +65,6 @@ class Trace:
 
     def __str__(self) -> str:
         return "<" + " ".join(self.actions) + ">" if self.actions else "<>"
-
-
-EMPTY_TRACE = Trace(())
 
 
 def subtrace(t: Trace, p: int, n: int) -> Trace:
@@ -152,21 +149,3 @@ class EventLog:
         # Cumulative multiplicities over canonical entry order; lets samplers
         # map a uniform index in [0, size) to a trace via searchsorted.
         return np.cumsum([c for _, c in self.entries])
-
-    def trace_at(self, index: int) -> Trace:
-        """The trace occupying position ``index`` (0-based) of the canonical
-        expansion of this multiset."""
-        if self.size == 0:
-            raise EmptyLog("cannot index into an empty log")
-        if index < 0 or index >= self.size:
-            raise OutOfBounds(f"index {index} out of range for log of size {self.size}")
-        entry = int(np.searchsorted(self._cumulative, index, side="right"))
-        return self.entries[entry][0]
-
-
-def log_concat(a: EventLog, b: EventLog) -> EventLog:
-    """Multiset union: multiplicities add."""
-    counts = dict(a.entries)
-    for t, c in b.entries:
-        counts[t] = counts.get(t, 0) + c
-    return EventLog.from_counts(counts)

@@ -46,6 +46,10 @@ from .core import EventLog
 from .errors import EmptyLanguage, NoConvergence, ZeroDenominator
 
 POWER_TOLERANCE = 1e-12
+# Power iteration also waits until the Collatz–Wielandt bracket of its
+# vector, the least and greatest entry of (A + I)x / x, is this narrow
+# relative to its top: the dominant eigenvalue lies inside that bracket.
+BRACKET_TOLERANCE = 1e-9
 POWER_MAX_ITERATIONS = 100_000
 
 
@@ -82,9 +86,12 @@ def _spectral_radius(
 
     Iterates on A + I: the shift breaks periodicity (a short-circuited
     automaton is strongly connected but may be periodic) and adds exactly 1
-    to the dominant eigenvalue of a non-negative matrix.  ``A @ x`` is one
-    ``bincount`` over the entries, which adds each row's terms in entry
-    order, as a CSR matrix-vector product does.
+    to the dominant eigenvalue of a non-negative matrix.  It stops when two
+    successive estimates agree and the Collatz–Wielandt bracket is narrow
+    (see ``BRACKET_TOLERANCE``): agreement alone can come after two steps,
+    far from the radius.  ``A @ x`` is one ``bincount`` over the entries,
+    which adds each row's terms in entry order, as a CSR matrix-vector
+    product does.
     """
 
     def matvec(x: np.ndarray) -> np.ndarray:
@@ -101,7 +108,10 @@ def _spectral_radius(
         shifted = matvec(x) + x
         lam_new = float(x @ shifted)
         if abs(lam_new - lam) < POWER_TOLERANCE:
-            return lam_new - 1.0, it
+            ratios = shifted / x
+            top = ratios.max()
+            if top - ratios.min() <= BRACKET_TOLERANCE * top:
+                return lam_new - 1.0, it
         lam = lam_new
     raise NoConvergence(
         f"power iteration did not converge within {POWER_MAX_ITERATIONS} iterations"
@@ -193,25 +203,15 @@ def _measure(m: Dfa, s: Dfa) -> tuple[float, float]:
     return _ratios(rho_i, rho_m, rho_s)
 
 
-def _finite_measures(rho_m: float, words, accepted) -> tuple[float, float]:
-    """(precision, recall) of a model of growth rate ``rho_m`` against the
-    finite language of the distinct ``words``; ``accepted`` holds the
-    model's verdict on each word."""
-    lengths = np.fromiter(map(len, words), dtype=np.intp, count=len(words))
-    mask = np.fromiter(accepted, dtype=bool, count=len(words))
+def _finite_measures(
+    rho_m: float, lengths: np.ndarray, accepted: np.ndarray
+) -> tuple[float, float]:
+    """(precision, recall) of a model of growth rate ``rho_m`` against a
+    finite language, from the lengths of its distinct words and the model's
+    verdict on each (a boolean array)."""
     rho_l, _ = _finite_growth(lengths)
-    rho_i = _finite_growth(lengths[mask])[0] if mask.any() else 0.0
+    rho_i = _finite_growth(lengths[accepted])[0] if accepted.any() else 0.0
     return _ratios(rho_i, rho_m, rho_l)
-
-
-def model_system_precision(m: Dfa, s: Dfa) -> float:
-    """Fraction of the model's behavior that the system exhibits."""
-    return _measure(m, s)[0]
-
-
-def model_system_recall(m: Dfa, s: Dfa) -> float:
-    """Fraction of the system's behavior that the model captures."""
-    return _measure(m, s)[1]
 
 
 def model_system_measures(m: Dfa, s: Dfa) -> tuple[float, float]:
@@ -236,4 +236,6 @@ def log_measures(m: Dfa, log: EventLog) -> tuple[float, float]:
     the log and the intersection measured by the renewal equation."""
     rho_m, _ = _growth_rate(m)
     support = log.support
-    return _finite_measures(rho_m, support, [accepts(m, t) for t in support])
+    lengths = np.array([len(t) for t in support], dtype=np.intp)
+    accepted = np.array([accepts(m, t) for t in support], dtype=bool)
+    return _finite_measures(rho_m, lengths, accepted)

@@ -16,20 +16,25 @@ every path (single pass, generational sampler, resampler) bit-for-bit
 consistent with the others.
 
 The breeding engine is int-coded: each distinct trace is interned once, as
-its action tuple, under an integer id, and crossover splices the tuples, so
-no ``Trace`` is built (nor its actions validated) until a replicate is
-drawn.  A bred pair's sites are counted from a k-gram index of its two
-traces, and a site's offspring are bred, and interned, only when a draw
-first selects that site.  A rank array over the ids holds the canonical
-order; newly interned traces are inserted into it by bisection, and
-nothing is sorted by trace per pass.  The engine breeds a block of
-replicates in lockstep: each replicate keeps its own generator and draws
-exactly what it would draw alone, then a gather and a row sort move the
-whole block a generation forward, and the block's generations are pooled
-as dense counts, one row per replicate and one column per interned trace.
-Ids reach a draw only through the canonical order, so a replicate's
-output depends neither on the order in which traces are interned nor on
-which replicates share its block.
+its action tuple, under an integer id, and crossover splices the tuples.  A
+bred pair's sites are counted from a k-gram index of its two traces, and a
+site's offspring are bred, and interned, only when a draw first selects
+that site.  A rank array over the ids holds the canonical order; newly
+interned traces are inserted into it by bisection, and nothing is sorted by
+trace per pass.  The engine breeds a block of replicates in lockstep: each
+replicate keeps its own generator and draws exactly what it would draw
+alone, then a gather and a row sort move the whole block a generation
+forward, and the block's generations are pooled as dense counts, one row
+per replicate and one column per interned trace.  Ids reach a draw only
+through the canonical order, so a replicate's output depends neither on the
+order in which traces are interned nor on which replicates share its block.
+
+The engine draws a replicate as the ids it hit, in canonical order, with
+their counts.  No ``Trace`` is built (nor its actions validated) until a
+public sampler turns those ids into an ``EventLog``; the bootstrap
+estimator measures the ids and never builds one.  Run for zero
+generations, the engine draws exactly what ``sample_with_replacement``
+draws, so plain resampling is its g=0 case.
 """
 
 from __future__ import annotations
@@ -74,13 +79,6 @@ class SamplerConfig:
             raise ValueError(f"subtrace length must be >= 1, got {self.k}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"breeding probability must be in [0, 1], got {self.p}")
-
-
-def rand_trace(l: EventLog, rng: np.random.Generator) -> Trace:
-    """One trace drawn uniformly over occurrences (multiplicity-weighted)."""
-    if l.size == 0:
-        raise EmptyLog("cannot draw from an empty log")
-    return l.trace_at(int(rng.integers(l.size)))
 
 
 def sample_with_replacement(l: EventLog, n: int, rng: np.random.Generator) -> EventLog:
@@ -192,8 +190,9 @@ class _BreedingEngine:
     def intern_log(self, l: EventLog) -> dict[int, int]:
         return {self.intern(t.actions): c for t, c in l.entries}
 
-    def to_log(self, counter: dict[int, int]) -> EventLog:
-        return EventLog.from_counts({Trace(self.table[i]): c for i, c in counter.items()})
+    def log_of(self, ids, counts) -> EventLog:
+        """The log holding each interned trace ``ids[j]`` ``counts[j]`` times."""
+        return EventLog.from_counts({Trace(self.table[i]): c for i, c in zip(ids, counts)})
 
     def _ranks(self) -> tuple[np.ndarray, np.ndarray]:
         """The canonical rank of every interned id, and the ids by rank."""
@@ -332,9 +331,11 @@ class _BreedingEngine:
         ids, counts = np.unique(self._generation(cur_expand[None, :], [rng]), return_counts=True)
         return dict(zip(ids.tolist(), counts.tolist()))
 
-    def sample(self, n: int, g: int, rngs) -> list[EventLog]:
+    def sample(self, n: int, g: int, rngs) -> list[tuple[np.ndarray, np.ndarray]]:
         """One replicate per generator: ``g`` generations bred in lockstep,
-        pooled with the base log, then ``n`` traces drawn with replacement.
+        pooled with the base log, then ``n`` traces drawn with replacement;
+        at ``g=0`` that is plain resampling of the base log.  A replicate is
+        the ids it hit, in canonical order, and how often it hit each.
 
         The pool is dense, one row of counts per replicate over the interned
         ids, and doubles in width whenever the table outgrows it."""
@@ -354,17 +355,18 @@ class _BreedingEngine:
             cur = by_rank[ranks]
         return [self._draw(row, n, rng) for row, rng in zip(pool, rngs)]
 
-    def _draw(self, row: np.ndarray, n: int, rng: np.random.Generator) -> EventLog:
-        """Sample ``n`` occurrences with replacement from counts over ids."""
-        rank, _ = self._ranks()
-        ids = np.flatnonzero(row)
-        ids = ids[np.argsort(rank[ids])]
+    def _draw(
+        self, row: np.ndarray, n: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Sample ``n`` occurrences with replacement from counts over ids;
+        returns the ids hit, in canonical order, and their hit counts."""
+        _, by_rank = self._ranks()
+        ids = by_rank[row[by_rank] != 0]
         cum = np.cumsum(row[ids])
         draws = rng.integers(0, int(cum[-1]), n)
         hits = np.bincount(np.searchsorted(cum, draws, side="right"), minlength=ids.size)
-        return EventLog.from_counts(
-            {Trace(self.table[i]): c for i, c in zip(ids.tolist(), hits.tolist()) if c}
-        )
+        drawn = hits != 0
+        return ids[drawn], hits[drawn]
 
 
 def log_breeding(
@@ -381,7 +383,7 @@ def log_breeding(
         raise EmptyLog("cannot breed against an empty log")
     engine = _BreedingEngine(l1, k, p)
     nxt = engine.breed_pass(engine.intern_log(l2), rng)
-    return engine.to_log(nxt)
+    return engine.log_of(nxt, nxt.values())
 
 
 def sample_with_breeding(
@@ -404,4 +406,6 @@ def sample_block_with_breeding(
     lockstep; replicate r equals ``sample_with_breeding(l, n, cfg, rngs[r])``."""
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
-    return _BreedingEngine(l, cfg.k, cfg.p).sample(n, cfg.g, rngs)
+    engine = _BreedingEngine(l, cfg.k, cfg.p)
+    replicates = engine.sample(n, cfg.g, rngs)
+    return [engine.log_of(ids.tolist(), hits.tolist()) for ids, hits in replicates]

@@ -166,6 +166,14 @@ def reference_minimize(a: Dfa) -> Dfa:
     return _renumber(trim(merged))
 
 
+def log_concat(a: EventLog, b: EventLog) -> EventLog:
+    """Multiset union: multiplicities add."""
+    counts = dict(a.entries)
+    for t, c in b.entries:
+        counts[t] = counts.get(t, 0) + c
+    return EventLog.from_counts(counts)
+
+
 def reference_sample_with_breeding(l: EventLog, n: int, cfg, rng) -> EventLog:
     """One replicate bred pair by pair over dicts of interned ``Trace``s: the
     oracle that ``sample_with_breeding`` and every replicate of a lockstep

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -187,6 +189,48 @@ class TestBootstrapGeneralization:
         spec = EstimatorSpec(lsm="replacement", cfg=SamplerConfig(n=5), m=4)
         with pytest.raises(WorkerDied, match="cell lsm=replacement n=5 g=0 .* m=4"):
             bootstrap_generalization(model_dfa, log, spec, seed=1, workers=2)
+
+
+class TestPinnedReplicates:
+    # the determinism contract: seed 123 fixes every replicate's
+    # (precision, recall, distinct traces) bit for bit, at any worker count.
+    # Every replacement replicate here hits all six observed traces, so
+    # that cell pins the measures, not the draws.
+    @pytest.mark.parametrize(
+        "lsm, cfg, m, digest",
+        [
+            (
+                "breeding",
+                SamplerConfig(n=500, g=300, k=2, p=0.5),
+                7,
+                "0a56dd921fc5691ff369910a9e1373646c88cf442b9c0ee7e6d19eb4ac3e9ced",
+            ),
+            (
+                "breeding",
+                SamplerConfig(n=2000, g=1000, k=1, p=1.0),
+                5,
+                "ac43b0899b1216bf8194f34eb552fe17d68c0eaad695d7c78f38fa89ff40fabe",
+            ),
+            (
+                "replacement",
+                SamplerConfig(n=300),
+                9,
+                "b901492e68344deb7bb65cd6ec013fb1c6c012f5fa003ba537e52a103435b4ec",
+            ),
+        ],
+        ids=["breeding-k2", "breeding-k1", "replacement"],
+    )
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_per_replicate_is_pinned(
+        self, model_dfa, observed_log, lsm, cfg, m, digest, workers
+    ):
+        spec = EstimatorSpec(lsm=lsm, cfg=cfg, m=m)
+        estimate = bootstrap_generalization(
+            model_dfa, observed_log, spec, seed=123, workers=workers
+        )
+        rows = estimate.per_replicate
+        assert [tuple(map(type, row)) for row in rows] == [(float, float, int)] * m
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 class TestLargeReplicateBehavior:

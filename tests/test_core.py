@@ -4,16 +4,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from genboot.core import (
-    EMPTY_TRACE,
-    EventLog,
-    Trace,
-    log_concat,
-    prefix,
-    subtrace,
-    suffix,
-)
-from genboot.errors import EmptyLog, OutOfBounds
+import helpers
+from genboot.core import EventLog, Trace, prefix, subtrace, suffix
+from genboot.errors import OutOfBounds
+
+EMPTY = Trace(())
 
 actions = st.sampled_from("abcdefg")
 traces = st.lists(actions, max_size=12).map(lambda xs: Trace(tuple(xs)))
@@ -25,9 +20,9 @@ def test_trace_basics():
     assert list(t) == ["a", "b", "c"]
     assert t[0] == "a"
     assert t[1:] == Trace.of("b", "c")
-    assert t + EMPTY_TRACE == t
+    assert t + EMPTY == t
     assert str(t) == "<a b c>"
-    assert str(EMPTY_TRACE) == "<>"
+    assert str(EMPTY) == "<>"
 
 
 def test_trace_rejects_bad_actions():
@@ -45,7 +40,7 @@ def test_subtrace_examples():
     t = Trace.of(*"abbbcf")
     assert subtrace(t, 2, 2) == Trace.of("b", "b")
     assert subtrace(t, 1, 6) == t
-    assert subtrace(t, 4, 0) == EMPTY_TRACE
+    assert subtrace(t, 4, 0) == EMPTY
 
 
 @pytest.mark.parametrize("p,n", [(0, 1), (1, 7), (7, 1), (1, -1), (6, 2)])
@@ -58,10 +53,10 @@ def test_prefix_suffix_examples():
     t = Trace.of(*"trace")
     assert prefix(t, 3) == Trace.of(*"tra")
     assert suffix(t, 3) == Trace.of(*"ace")
-    assert prefix(t, 0) == EMPTY_TRACE
+    assert prefix(t, 0) == EMPTY
     assert prefix(t, 5) == t
     assert suffix(t, 1) == t
-    assert suffix(t, 6) == EMPTY_TRACE
+    assert suffix(t, 6) == EMPTY
     with pytest.raises(OutOfBounds):
         prefix(t, 6)
     with pytest.raises(OutOfBounds):
@@ -109,28 +104,10 @@ def test_from_traces_counts_occurrences():
     assert log.size == 3
 
 
-def test_trace_at_walks_canonical_expansion():
-    log = EventLog.from_counts({Trace.of("a"): 2, Trace.of("b"): 1})
-    assert [log.trace_at(i) for i in range(3)] == [
-        Trace.of("a"),
-        Trace.of("a"),
-        Trace.of("b"),
-    ]
-    with pytest.raises(OutOfBounds):
-        log.trace_at(3)
-    with pytest.raises(OutOfBounds):
-        log.trace_at(-1)
-
-
-def test_trace_at_empty_log():
-    with pytest.raises(EmptyLog):
-        EventLog(()).trace_at(0)
-
-
 def test_log_concat_adds_multiplicities():
     left = EventLog.from_counts({Trace.of("a"): 2})
     right = EventLog.from_counts({Trace.of("a"): 1, Trace.of("b"): 4})
-    both = log_concat(left, right)
+    both = helpers.log_concat(left, right)
     assert both.multiplicity(Trace.of("a")) == 3
     assert both.multiplicity(Trace.of("b")) == 4
     assert both.size == left.size + right.size
@@ -143,4 +120,4 @@ def test_log_concat_adds_multiplicities():
 def test_log_concat_sizes_add(items_a, items_b):
     a = EventLog.from_counts(items_a)
     b = EventLog.from_counts(items_b)
-    assert log_concat(a, b).size == a.size + b.size
+    assert helpers.log_concat(a, b).size == a.size + b.size

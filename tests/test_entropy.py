@@ -26,8 +26,6 @@ from genboot.entropy import (
     log_entropy,
     log_measures,
     model_system_measures,
-    model_system_precision,
-    model_system_recall,
     topological_entropy,
 )
 from genboot.errors import EmptyLanguage, RetryExhausted
@@ -89,14 +87,16 @@ trace_sets = st.lists(words, min_size=1, max_size=8, unique=True).map(
 
 class TestFiniteGrowth:
     @given(trace_sets)
+    @example([t("a"), t("c"), t("ba")])  # the golden ratio
     @settings(max_examples=200, deadline=None)
     def test_matches_power_iteration_on_the_prefix_tree(self, traces):
         rho, _ = _finite_growth([len(w) for w in traces])
-        # power iteration stops when successive estimates agree, which is
-        # no error bound: on the lengths {19, 36} it misses the root by
-        # 4.8e-6 relative, where a dense solver agrees to 1e-15
+        # power iteration stops inside a Collatz–Wielandt bracket 1e-9 wide
+        # relative to rho + 1, so it is at most about 2e-9 off; agreement of
+        # successive estimates alone stopped {a, c, ba} at 1.625 after two
+        # steps, and missed the root of the lengths {19, 36} by 4.8e-6
         assert rho == pytest.approx(
-            _growth_rate(prefix_tree_acceptor(traces))[0], rel=1e-4
+            _growth_rate(prefix_tree_acceptor(traces))[0], rel=1e-8
         )
 
     @given(trace_sets)
@@ -211,13 +211,10 @@ class TestShortCircuit:
 
 
 class TestPowerIteration:
-    # The stop rule (successive estimates within 1e-12) is no error bound:
-    # on about 1 in 150 of these automata the first two estimates agree and
-    # the iteration stops after two steps, up to 2.5% off.  Seed 98 gives
-    # the language {cb, db, d}, where it returns 1.53846 against 1.56155.
-    @pytest.mark.xfail(
-        raises=AssertionError, strict=True, reason="power iteration can stop after two steps"
-    )
+    # Successive estimates alone can agree after two steps: on about 1 in
+    # 150 of these automata they did, up to 2.5% off.  Seed 98 gives the
+    # language {cb, db, d}, where that rule returned 1.53846 against
+    # 1.56155; the Collatz–Wielandt bracket keeps the iteration going.
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @example(seed=98)
     @settings(max_examples=100, deadline=None)
@@ -294,15 +291,6 @@ class TestMeasures:
         precision, recall = model_system_measures(model_dfa, log_dfa)
         assert abs(precision - 0.791) <= 0.002
         assert abs(recall - 0.935) <= 0.002
-
-    def test_single_functions_match_combined(self, model_dfa, system_dfa):
-        precision, recall = model_system_measures(model_dfa, system_dfa)
-        assert model_system_precision(model_dfa, system_dfa) == pytest.approx(
-            precision, abs=1e-12
-        )
-        assert model_system_recall(model_dfa, system_dfa) == pytest.approx(
-            recall, abs=1e-12
-        )
 
     def test_self_comparison_is_perfect(self, model_dfa, observed_log):
         for dfa in (model_dfa, log_to_dfa(observed_log)):

@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import helpers
-from genboot.core import EventLog, Trace, log_concat, subtrace
+from genboot.core import EventLog, Trace, subtrace
 from genboot.errors import EmptyLog, InvalidSite
 from genboot.sampling import (
     BreedingSite,
@@ -15,7 +15,6 @@ from genboot.sampling import (
     breeding_sites,
     crossover,
     log_breeding,
-    rand_trace,
     sample_block_with_breeding,
     sample_with_breeding,
     sample_with_replacement,
@@ -58,24 +57,12 @@ class TestSamplerConfig:
             SamplerConfig(**kwargs)
 
 
-class TestRandTrace:
+class TestSampleWithReplacement:
     def test_draws_follow_multiplicities(self):
         log = EventLog.from_counts({t("a"): 99, t("b"): 1})
-        rng = np.random.default_rng(0)
-        hits = sum(rand_trace(log, rng) == t("a") for _ in range(10000))
-        assert 9800 <= hits <= 9980
+        replicate = sample_with_replacement(log, 10000, np.random.default_rng(0))
+        assert 9800 <= replicate.multiplicity(t("a")) <= 9980
 
-    def test_deterministic(self, observed_log):
-        first = [rand_trace(observed_log, np.random.default_rng(42)) for _ in range(50)]
-        second = [rand_trace(observed_log, np.random.default_rng(42)) for _ in range(50)]
-        assert first == second
-
-    def test_empty_log(self):
-        with pytest.raises(EmptyLog):
-            rand_trace(EventLog(()), np.random.default_rng(0))
-
-
-class TestSampleWithReplacement:
     def test_exact_size_and_support(self, observed_log):
         replicate = sample_with_replacement(observed_log, 500, np.random.default_rng(1))
         assert replicate.size == 500
@@ -229,11 +216,21 @@ class TestSampleWithBreeding:
         replicate = sample_with_breeding(observed_log, 40, cfg, np.random.default_rng(8))
         assert replicate.size == 40
 
-    def test_zero_generations_equals_plain_resampling(self, observed_log):
-        cfg = SamplerConfig(n=75, g=0, k=2, p=1.0)
-        bred = sample_with_breeding(observed_log, 75, cfg, np.random.default_rng(9))
-        plain = sample_with_replacement(observed_log, 75, np.random.default_rng(9))
-        assert bred == plain
+    @given(
+        small_logs(),
+        st.integers(1, 300),
+        st.sampled_from((1, 2, 3)),
+        st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(EventLog.from_counts({Trace(()): 3}), 300, 2, 0.5, 9)
+    @settings(max_examples=100, deadline=None)
+    def test_zero_generations_equals_plain_resampling(self, log, n, k, p, seed):
+        # the estimator resamples through the breeding engine at g=0; the
+        # logs include the empty trace and logs of one trace
+        cfg = SamplerConfig(n=n, g=0, k=k, p=p)
+        bred = sample_with_breeding(log, n, cfg, np.random.default_rng(seed))
+        assert bred == sample_with_replacement(log, n, np.random.default_rng(seed))
 
     def test_matches_manual_generation_chain(self, observed_log):
         # generation 0 is the log; each pass breeds the log against the
@@ -247,7 +244,7 @@ class TestSampleWithBreeding:
         manual_rng = np.random.default_rng(10)
         g1 = log_breeding(observed_log, observed_log, 2, 1.0, manual_rng)
         g2 = log_breeding(observed_log, g1, 2, 1.0, manual_rng)
-        pool = log_concat(log_concat(observed_log, g1), g2)
+        pool = helpers.log_concat(helpers.log_concat(observed_log, g1), g2)
         expected = sample_with_replacement(pool, 120, manual_rng)
         assert replicate == expected
 
@@ -265,8 +262,8 @@ class TestSampleWithBreeding:
             second = sample_with_replacement(cur, iters, rng)
             rng.random(iters)  # breeding gates
             rng.random(iters)  # site selectors
-            cur = log_concat(first, second)
-            pool = log_concat(pool, cur)
+            cur = helpers.log_concat(first, second)
+            pool = helpers.log_concat(pool, cur)
         assert replicate == sample_with_replacement(pool, 90, rng)
 
     def test_gated_out_pairs_are_not_bred(self, observed_log):
