@@ -11,8 +11,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-import numpy as np
-
 from .errors import OutOfBounds
 
 # Action names are plain text tokens.  "i" and "o" are reserved for the
@@ -143,9 +141,3 @@ class EventLog:
     @cached_property
     def _counts(self) -> dict[Trace, int]:
         return dict(self.entries)
-
-    @cached_property
-    def _cumulative(self) -> np.ndarray:
-        # Cumulative multiplicities over canonical entry order; lets samplers
-        # map a uniform index in [0, size) to a trace via searchsorted.
-        return np.cumsum([c for _, c in self.entries])

@@ -195,14 +195,6 @@ def _ratios(rho_i: float, rho_m: float, rho_s: float) -> tuple[float, float]:
     return rho_i / rho_m, rho_i / rho_s
 
 
-def _measure(m: Dfa, s: Dfa) -> tuple[float, float]:
-    rho_m, _ = _growth_rate(m)
-    rho_s, _ = _growth_rate(s)
-    common = intersect(m, s)
-    rho_i = _growth_rate(common)[0] if common.accepting else 0.0
-    return _ratios(rho_i, rho_m, rho_s)
-
-
 def _finite_measures(
     rho_m: float, lengths: np.ndarray, accepted: np.ndarray
 ) -> tuple[float, float]:
@@ -215,8 +207,12 @@ def _finite_measures(
 
 
 def model_system_measures(m: Dfa, s: Dfa) -> tuple[float, float]:
-    """Both measures from one shared computation: (precision, recall)."""
-    return _measure(m, s)
+    """(precision, recall) of the model ``m`` against the system ``s``."""
+    rho_m, _ = _growth_rate(m)
+    rho_s, _ = _growth_rate(s)
+    common = intersect(m, s)
+    rho_i = _growth_rate(common)[0] if common.accepting else 0.0
+    return _ratios(rho_i, rho_m, rho_s)
 
 
 def log_entropy(log: EventLog) -> EntropyValue:

@@ -88,7 +88,8 @@ def sample_with_replacement(l: EventLog, n: int, rng: np.random.Generator) -> Ev
     if n < 1:
         raise ValueError(f"sample size must be >= 1, got {n}")
     draws = rng.integers(0, l.size, n)
-    entry_idx = np.searchsorted(l._cumulative, draws, side="right")
+    cumulative = np.cumsum([c for _, c in l.entries])
+    entry_idx = np.searchsorted(cumulative, draws, side="right")
     counts = np.bincount(entry_idx, minlength=len(l.entries))
     return EventLog.from_counts(
         {l.entries[j][0]: int(c) for j, c in enumerate(counts) if c}
