@@ -90,10 +90,6 @@ class Dfa:
             if x not in self.alphabet:
                 raise ValueError(f"transition label {x!r} is not in the alphabet")
 
-    def step(self, state, letter):
-        """Target of the transition, or None when undefined."""
-        return self.transitions.get((state, letter))
-
     @property
     def is_empty(self) -> bool:
         """True when no accepting state is reachable from the start."""

@@ -14,7 +14,8 @@ ids.  Replicate measures are then aggregated into means with 95%
 confidence intervals.
 
 Replicate seeds are spawned from a single master seed.  The replicates are
-split into ``min(workers, m)`` contiguous blocks, one task each.  A task
+split into ``min(workers, m)`` contiguous blocks, one task each, run on at
+most ``os.cpu_count()`` processes.  A task
 samples its block in lockstep batches of at most ``_LOCKSTEP`` replicates,
 one engine per batch (see ``sampling``), and measures each batch one
 replicate at a time.  A replicate's result depends only on its own seed,
@@ -25,6 +26,7 @@ bit-for-bit identical to the same run with ``workers=1``.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -160,8 +162,8 @@ def bootstrap_generalization(
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; when omitted,
     the run is seeded from OS entropy.  Replicates are independent; split into
-    ``min(workers, spec.m)`` blocks, they may be spread over that many
-    processes without changing the result.
+    ``min(workers, spec.m)`` blocks, they may be spread over as many
+    processes as there are blocks and CPUs without changing the result.
     """
     if log.size == 0:
         raise EmptyLog("cannot bootstrap from an empty log")
@@ -190,7 +192,7 @@ def bootstrap_generalization(
         raw = _block_task(tasks[0])
     else:
         try:
-            with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+            with ProcessPoolExecutor(max_workers=min(len(tasks), os.cpu_count() or 1)) as pool:
                 raw = [row for rows in pool.map(_block_task, tasks) for row in rows]
         except BrokenProcessPool as exc:
             cfg = spec.cfg
@@ -200,9 +202,7 @@ def bootstrap_generalization(
             ) from exc
 
     per_replicate = tuple(raw)
-    precisions = [p for p, _, _ in per_replicate]
-    recalls = [r for _, r, _ in per_replicate]
-    distinct = [d for _, _, d in per_replicate]
+    precisions, recalls, distinct = zip(*per_replicate)
     p_mean, p_ci, p_var = aggregate(precisions, ci_method)
     r_mean, r_ci, r_var = aggregate(recalls, ci_method)
     d_mean, d_ci, _ = aggregate(distinct, ci_method)

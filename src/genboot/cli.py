@@ -15,7 +15,7 @@ import time
 from numpy.random import SeedSequence, default_rng
 
 from .automata import dfg_to_dfa
-from .bootstrap import EstimatorSpec, aggregate, bootstrap_generalization
+from .bootstrap import _SAMPLERS, EstimatorSpec, aggregate, bootstrap_generalization
 from .discovery_sim import DiscoveryConfig, WalkConfig, discover_dfg, simulate_log
 from .entropy import (
     log_entropy,
@@ -66,9 +66,8 @@ def _cmd_simulate(args) -> int:
         trace_count=args.traces,
         max_length=args.max_length,
         weighting="frequency" if args.weighted else "uniform",
-        seed=args.seed,
     )
-    _write_text(args.out, _format_log(simulate_log(graph, cfg)))
+    _write_text(args.out, _format_log(simulate_log(graph, cfg, default_rng(args.seed))))
     return 0
 
 
@@ -205,10 +204,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_breeding_flags(parser) -> None:
+def _add_sampler_flags(parser) -> None:
+    parser.add_argument("--log", required=True, help="observed log file")
+    parser.add_argument("--lsm", required=True, choices=_SAMPLERS, help="log sampling method")
+    parser.add_argument("-n", type=int, required=True, help="replicate size")
     parser.add_argument("-g", type=int, default=0, help="breeding generations")
     parser.add_argument("-k", type=int, default=1, help="shared-subtrace length")
     parser.add_argument("-p", type=float, default=1.0, help="breeding probability")
+    parser.add_argument("--seed", type=int, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -222,17 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate", help="bootstrap precision/recall of a model against a log"
     )
     estimate.add_argument("--model", required=True, help="model graph file")
-    estimate.add_argument("--log", required=True, help="observed log file")
-    estimate.add_argument(
-        "--lsm",
-        required=True,
-        choices=("replacement", "breeding"),
-        help="log sampling method",
-    )
-    estimate.add_argument("-n", type=int, required=True, help="replicate size")
+    _add_sampler_flags(estimate)
     estimate.add_argument("-m", type=int, default=100, help="number of replicates")
-    _add_breeding_flags(estimate)
-    estimate.add_argument("--seed", type=int, default=None)
     estimate.add_argument("--workers", type=int, default=1)
     estimate.add_argument(
         "--measure", choices=("precision", "recall", "both"), default="both"
@@ -278,13 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=_cmd_simulate)
 
     sample = sub.add_parser("sample", help="draw one replicate log from a log")
-    sample.add_argument("--log", required=True)
-    sample.add_argument(
-        "--lsm", required=True, choices=("replacement", "breeding")
-    )
-    sample.add_argument("-n", type=int, required=True, help="replicate size")
-    _add_breeding_flags(sample)
-    sample.add_argument("--seed", type=int, default=None)
+    _add_sampler_flags(sample)
     sample.add_argument("--out", default=None)
     sample.set_defaults(func=_cmd_sample)
 
@@ -332,10 +320,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"genboot: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ParseError, OSError) as exc:
         print(f"genboot: {exc}", file=sys.stderr)
         return 2
     except GenbootError as exc:

@@ -120,10 +120,7 @@ class EventLog:
 
     @classmethod
     def from_traces(cls, traces: Iterable[Trace]) -> "EventLog":
-        counts: dict[Trace, int] = {}
-        for t in traces:
-            counts[t] = counts.get(t, 0) + 1
-        return cls.from_counts(counts)
+        return cls(tuple((t, 1) for t in traces))
 
     @cached_property
     def size(self) -> int:

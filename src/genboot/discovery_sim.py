@@ -3,9 +3,10 @@
 ``discover_dfg`` is a small frequency-filtering discovery algorithm: it
 drops the rarest distinct traces of the log and assembles a directly-follows
 graph from the survivors.  ``simulate_log`` is its inverse-direction tool,
-drawing random input-to-output walks from a graph to produce a log.  The
-pair is what the bootstrap estimator is typically pointed at: discover a
-model from one log, then judge how well it generalizes.
+drawing random input-to-output walks from a graph, with a caller's numpy
+Generator, to produce a log.  The pair is what the bootstrap estimator is
+typically pointed at: discover a model from one log, then judge how well
+it generalizes.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
-from .automata import Dfg, INPUT_MARKER, OUTPUT_MARKER
+from .automata import Dfg, INPUT_MARKER, OUTPUT_MARKER, dfg_to_dfa
 from .core import EventLog, Trace
 from .errors import AllFiltered, EmptyLog, RetryExhausted, Unreachable
 
@@ -89,7 +89,6 @@ class WalkConfig:
     trace_count: int
     max_length: int = 1000
     weighting: str = "uniform"
-    seed: int | None = None
 
     def __post_init__(self):
         if self.trace_count < 1:
@@ -100,32 +99,22 @@ class WalkConfig:
             raise ValueError(f"unknown weighting {self.weighting!r}")
 
 
-def simulate_log(graph: Dfg, cfg: WalkConfig, rng=None) -> EventLog:
-    """Draw ``cfg.trace_count`` random input-to-output walks from ``graph``.
+def simulate_log(graph: Dfg, cfg: WalkConfig, rng: np.random.Generator) -> EventLog:
+    """Draw ``cfg.trace_count`` random input-to-output walks with ``rng``.
 
-    Raises ``Unreachable`` when the output marker cannot be reached at all,
-    and ``RetryExhausted`` after 1000 consecutive discarded walks (stuck in
-    a node without outgoing arcs, or repeatedly exceeding ``max_length``).
+    Raises ``Unreachable`` when the graph's acceptor is empty, so no walk
+    reaches the output marker, and ``RetryExhausted`` after 1000
+    consecutive discarded walks (stuck in a node without outgoing arcs, or
+    repeatedly exceeding ``max_length``).
     """
-    if rng is None:
-        rng = default_rng(cfg.seed)
+    if dfg_to_dfa(graph).is_empty:
+        raise Unreachable("the output marker is unreachable from the input marker")
 
     adjacency: dict = {}
     for src, dst in graph.arcs:
         adjacency.setdefault(src, []).append(dst)
     for targets in adjacency.values():
         targets.sort()
-
-    seen = {INPUT_MARKER}
-    frontier = [INPUT_MARKER]
-    while frontier:
-        node = frontier.pop()
-        for succ in adjacency.get(node, ()):
-            if succ not in seen:
-                seen.add(succ)
-                frontier.append(succ)
-    if OUTPUT_MARKER not in seen:
-        raise Unreachable("the output marker is unreachable from the input marker")
 
     weighted = cfg.weighting == "frequency"
     cumulative: dict = {}

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -155,7 +156,9 @@ class _BreedingEngine:
     draw first selects it, so the table holds the base log and the
     offspring actually drawn.  Memory grows with the traces interned and
     the sites of the pairs bred (the slot buffer doubles when full), and a
-    block's pool holds one count per replicate and interned trace.
+    block's pool holds one count per replicate and interned trace.  Only a
+    breeding pass expands the base log into its occurrences, so plain
+    resampling (g=0) holds nothing that grows with the log's multiplicity.
     """
 
     def __init__(self, base: EventLog, k: int, p: float):
@@ -178,7 +181,6 @@ class _BreedingEngine:
         self._kids = np.empty((2, 0), dtype=np.int64)
         self._slots = 0
         self._by_rank = np.empty(0, dtype=np.int64)
-        self.base_expand = self._expand(self.base_counter)
 
     def intern(self, actions: tuple) -> int:
         got = self.index.get(actions)
@@ -205,6 +207,10 @@ class _BreedingEngine:
             self._rank = np.empty_like(self._by_rank)
             self._rank[self._by_rank] = np.arange(self._by_rank.size)
         return self._rank, self._by_rank
+
+    @cached_property
+    def base_expand(self) -> np.ndarray:  # built on the first breeding pass
+        return self._expand(self.base_counter)
 
     def _expand(self, counter: dict[int, int]) -> np.ndarray:
         """The occurrences of an id multiset, in canonical trace order."""
@@ -343,7 +349,8 @@ class _BreedingEngine:
         pool = np.zeros((len(rngs), len(self.table)), dtype=np.int64)
         pool[:, list(self.base_counter)] = list(self.base_counter.values())
         replicates = np.arange(len(rngs))[:, None]
-        cur = np.tile(self.base_expand, (len(rngs), 1))
+        if g:  # plain resampling never expands the base log
+            cur = np.tile(self.base_expand, (len(rngs), 1))
         for _ in range(g):
             kids = self._generation(cur, rngs)
             if pool.shape[1] < len(self.table):

@@ -8,6 +8,7 @@ a wide margin.
 
 from __future__ import annotations
 
+import os
 import time
 
 import numpy as np
@@ -49,7 +50,8 @@ def announce(capsys):
 
 @pytest.fixture(scope="module")
 def cells(model_dfa, observed_log):
-    """Bootstrap cells at the benchmark settings, computed once per key."""
+    """Bootstrap cells at the benchmark settings, computed once per key,
+    on one process per CPU (the worker count never changes a result)."""
     cache = {}
 
     def get(n: int, g: int, seed=None):
@@ -59,7 +61,7 @@ def cells(model_dfa, observed_log):
                 lsm="breeding", cfg=SamplerConfig(n=n, g=g, k=2, p=1.0), m=100
             )
             cache[key] = bootstrap_generalization(
-                model_dfa, observed_log, spec, seed=seed
+                model_dfa, observed_log, spec, seed=seed, workers=os.cpu_count() or 1
             )
         return cache[key]
 

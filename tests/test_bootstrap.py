@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -189,6 +191,43 @@ class TestBootstrapGeneralization:
         spec = EstimatorSpec(lsm="replacement", cfg=SamplerConfig(n=5), m=4)
         with pytest.raises(WorkerDied, match="cell lsm=replacement n=5 g=0 .* m=4"):
             bootstrap_generalization(model_dfa, log, spec, seed=1, workers=2)
+
+    def test_processes_are_capped_at_the_cpu_count(self, model_dfa, observed_log, monkeypatch):
+        # a fake pool records the process count and maps in this process
+        started = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(bootstrap, "ProcessPoolExecutor", SerialPool)
+        spec = EstimatorSpec(lsm="breeding", cfg=SamplerConfig(n=50, g=3, k=2), m=64)
+        wide = bootstrap_generalization(model_dfa, observed_log, spec, seed=4, workers=64)
+        narrow = bootstrap_generalization(model_dfa, observed_log, spec, seed=4, workers=1)
+        assert started == [min(64, os.cpu_count())]
+        assert wide.per_replicate == narrow.per_replicate
+
+    def test_replacement_keeps_no_copy_of_the_log(self, model_dfa, observed_log):
+        # the bundled log with every count x30000 holds 1.98M occurrences of
+        # six distinct traces; plain resampling needs only the six counts
+        log = EventLog.from_counts({t: c * 30000 for t, c in observed_log.entries})
+        spec = EstimatorSpec(lsm="replacement", cfg=SamplerConfig(n=1000), m=8)
+        tracemalloc.start()
+        try:
+            bootstrap_generalization(model_dfa, log, spec, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestPinnedReplicates:

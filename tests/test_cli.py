@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import os
+import hashlib
 import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -205,6 +207,24 @@ class TestSimulateCommand:
         assert code == 0
         assert read_log(out).size == 10
 
+    @pytest.mark.parametrize(
+        "flags, digest",
+        [
+            (
+                ["--traces", "500", "--seed", "7"],
+                "ec4202cce714744ca0b873ea5f0c786943b27af62fa6eaa01baa8e0ce67a65e4",
+            ),
+            (
+                ["--traces", "300", "--weighted", "--seed", "9"],
+                "e04a3b385158be7b00faa1ba3cf72f38355ebbac9e67d234e524e174c6e2d372",
+            ),
+        ],
+    )
+    def test_output_is_pinned(self, capsys, flags, digest):
+        assert main(["simulate", "--dfg", SYSTEM, *flags]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSampleCommand:
     def test_replacement(self, capsys, observed_log, tmp_path):
@@ -386,6 +406,30 @@ class TestUsage:
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
+
+    def test_readme_commands_parse(self):
+        text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        lines = block.replace("\\\n", " ").splitlines()
+        commands = [shlex.split(line)[1:] for line in lines if line.startswith("genboot ")]
+        assert len(commands) == 9
+        parser = cli.build_parser()
+        for argv in commands:
+            assert parser.parse_args(argv).func is not None
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--lsm", "replacement", "-n", "5"],
+            ["--lsm", "breeding", "-n", "5", "-g", "2", "-k", "3", "-p", "0.5", "--seed", "9"],
+        ],
+    )
+    def test_estimate_and_sample_share_the_sampler_flags(self, flags):
+        parser = cli.build_parser()
+        estimate = vars(parser.parse_args(["estimate", "--model", MODEL, "--log", LOG, *flags]))
+        sample = vars(parser.parse_args(["sample", "--log", LOG, *flags]))
+        shared = ("log", "lsm", "n", "g", "k", "p", "seed")
+        assert [estimate[name] for name in shared] == [sample[name] for name in shared]
 
     def test_bundled_files_exist(self):
         for name in ("model.dfg", "system.dfg", "observed.log"):

@@ -5,7 +5,7 @@ import pytest
 
 import helpers
 from genboot.automata import Dfg, accepts, dfg_to_dfa
-from genboot.core import EventLog, Trace
+from genboot.core import INPUT_MARKER, OUTPUT_MARKER, EventLog, Trace
 from genboot.discovery_sim import (
     DiscoveryConfig,
     WalkConfig,
@@ -17,6 +17,16 @@ from genboot.errors import EmptyLog, RetryExhausted, Unreachable
 
 def t(text: str) -> Trace:
     return Trace(tuple(text))
+
+
+def reaches_output(arcs) -> bool:
+    """Whether a breadth-first search over ``arcs`` from the input marker
+    reaches the output marker."""
+    seen, frontier = {INPUT_MARKER}, [INPUT_MARKER]
+    while frontier:
+        frontier = [dst for src, dst in arcs if src in frontier and dst not in seen]
+        seen.update(frontier)
+    return OUTPUT_MARKER in seen
 
 
 class TestDiscoveryConfig:
@@ -107,52 +117,77 @@ class TestWalkConfig:
 class TestSimulateLog:
     def test_linear_graph_walks_are_fixed(self):
         graph = discover_dfg(EventLog.from_counts({t("ab"): 1}))
-        log = simulate_log(graph, WalkConfig(trace_count=12, seed=1))
+        log = simulate_log(graph, WalkConfig(trace_count=12), np.random.default_rng(1))
         assert log == EventLog.from_counts({t("ab"): 12})
 
     def test_walks_fit_their_graph(self, model_dfg):
         dfa = dfg_to_dfa(model_dfg)
-        log = simulate_log(model_dfg, WalkConfig(trace_count=200, seed=2))
+        log = simulate_log(model_dfg, WalkConfig(trace_count=200), np.random.default_rng(2))
         assert log.size == 200
         for trace in log.support:
             assert accepts(dfa, trace)
 
     def test_deterministic_given_seed(self, system_dfg):
-        a = simulate_log(system_dfg, WalkConfig(trace_count=50, seed=3))
-        b = simulate_log(system_dfg, WalkConfig(trace_count=50, seed=3))
+        a = simulate_log(system_dfg, WalkConfig(trace_count=50), np.random.default_rng(3))
+        b = simulate_log(system_dfg, WalkConfig(trace_count=50), np.random.default_rng(3))
         assert a == b
 
     def test_uniform_branching(self):
         graph = discover_dfg(EventLog.from_counts({t("ab"): 1, t("ac"): 1}))
-        log = simulate_log(graph, WalkConfig(trace_count=4000, seed=4))
+        log = simulate_log(graph, WalkConfig(trace_count=4000), np.random.default_rng(4))
         share = log.multiplicity(t("ab")) / 4000
         assert 0.46 <= share <= 0.54
 
     def test_frequency_weighted_branching(self):
         graph = discover_dfg(EventLog.from_counts({t("ab"): 9, t("ac"): 1}))
-        cfg = WalkConfig(trace_count=4000, weighting="frequency", seed=5)
-        log = simulate_log(graph, cfg)
+        cfg = WalkConfig(trace_count=4000, weighting="frequency")
+        log = simulate_log(graph, cfg, np.random.default_rng(5))
         share = log.multiplicity(t("ab")) / 4000
         assert 0.87 <= share <= 0.93
 
     def test_zero_weights_cannot_be_walked(self):
         graph = Dfg.from_arcs([("i", "a"), ("a", "o")])  # all frequencies zero
-        cfg = WalkConfig(trace_count=5, weighting="frequency", seed=6)
+        cfg = WalkConfig(trace_count=5, weighting="frequency")
         with pytest.raises(ValueError):
-            simulate_log(graph, cfg)
+            simulate_log(graph, cfg, np.random.default_rng(6))
 
     def test_unreachable_output(self):
         graph = Dfg.from_arcs([("i", "a"), ("a", "a")])
         with pytest.raises(Unreachable):
-            simulate_log(graph, WalkConfig(trace_count=1, seed=7))
+            simulate_log(graph, WalkConfig(trace_count=1), np.random.default_rng(7))
+
+    def test_unreachable_exactly_when_no_path_reaches_the_output(self):
+        rng = np.random.default_rng(31)
+        verdicts = set()
+        for _ in range(40):
+            graph = helpers.random_dfg(rng, max_actions=8)
+            arcs = sorted(graph.arcs)
+            variants = [
+                arcs,
+                [(src, dst) for src, dst in arcs if dst != OUTPUT_MARKER],
+                [arc for arc in arcs if rng.random() < 0.7],
+            ]
+            for kept in variants:
+                expected = not reaches_output(kept)
+                try:
+                    simulate_log(Dfg.from_arcs(kept), WalkConfig(trace_count=3, max_length=20), rng)
+                    raised = False
+                except Unreachable:
+                    raised = True
+                except RetryExhausted:
+                    raised = False
+                assert raised == expected, kept
+                verdicts.add(expected)
+        assert verdicts == {True, False}
 
     def test_max_length_discards_and_redraws(self):
         graph = Dfg.from_arcs([("i", "a"), ("a", "a"), ("a", "o")])
-        log = simulate_log(graph, WalkConfig(trace_count=100, max_length=1, seed=8))
+        cfg = WalkConfig(trace_count=100, max_length=1)
+        log = simulate_log(graph, cfg, np.random.default_rng(8))
         assert log == EventLog.from_counts({t("a"): 100})
 
     def test_retry_exhaustion(self):
         graph = Dfg.from_arcs([("i", "a"), ("a", "b"), ("b", "o")])
-        cfg = WalkConfig(trace_count=1, max_length=1, seed=9)
+        cfg = WalkConfig(trace_count=1, max_length=1)
         with pytest.raises(RetryExhausted):
-            simulate_log(graph, cfg)  # every walk has two actions
+            simulate_log(graph, cfg, np.random.default_rng(9))  # every walk has two actions

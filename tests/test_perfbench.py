@@ -32,7 +32,8 @@ def load_script(name: str):
 def test_traced_replay(lsm, model_dfa, system_dfg):
     bench = load_script("round")
     tracer = bench.Tracer()
-    log = simulate_log(system_dfg, WalkConfig(trace_count=20, max_length=30, seed=1))
+    walk = WalkConfig(trace_count=20, max_length=30)
+    log = simulate_log(system_dfg, walk, np.random.default_rng(1))
     cfg = SamplerConfig(n=20, g=2, k=2, p=1.0)
     with bench.instrument(tracer, bench._cli_targets()):
         bench._replay(tracer, log, model_dfa, lsm, cfg, np.random.SeedSequence(1), 2)
